@@ -47,9 +47,7 @@ class SLineGraph:
         self.s = int(s)
         self.over_edges = bool(over_edges)
         self.edgelist = el
-        self.graph = CSR.from_edgelist(
-            el.symmetrize(), num_targets=el.num_vertices()
-        )
+        self.graph = CSR.from_undirected(el)
 
     # -- structure -----------------------------------------------------------
     def num_vertices(self) -> int:

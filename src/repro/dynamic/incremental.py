@@ -134,9 +134,11 @@ def patch_linegraph(
     """Patch a canonical s-line edge list against the current state.
 
     Drops every old edge with a dirty endpoint, recounts exactly the
-    dirty pairs with the queue-hashmap counting step, and re-canonicalizes.
-    ``old_el`` must carry overlap counts as weights (every unweighted
-    construction algorithm emits them) — patching a weight-less list
+    dirty pairs with the queue-hashmap counting step, and merges them
+    back in (:func:`_merge_patch`), so the cost is O(nnz) plus the
+    delta, not a re-sort.  ``old_el`` must be canonical and carry
+    overlap counts as weights (every unweighted construction algorithm
+    emits both) — patching a weight-less list
     would silently break the cache's s-monotone derive path, so it raises
     instead.
     """
@@ -160,15 +162,10 @@ def patch_linegraph(
     tr = as_tracer(tracer)
     m = as_metrics(metrics)
     with tr.span("dynamic.patch", s=s, dirty=int(dirty.size)) as span:
-        clean = ~(np.isin(old_el.src, dirty) | np.isin(old_el.dst, dirty))
+        clean = _clean_mask(old_el, dirty, n)
         src, dst, counts, work = delta_pair_counts(state, dirty)
         live = counts >= s
-        out = finalize_edges(
-            np.concatenate([old_el.src[clean], src[live]]),
-            np.concatenate([old_el.dst[clean], dst[live]]),
-            np.concatenate([old_el.weights[clean].astype(np.int64), counts[live]]),
-            n,
-        )
+        out = _merge_patch(old_el, clean, src[live], dst[live], counts[live], n)
         span.set(
             dropped=int((~clean).sum()), emitted=int(live.sum()), work=work
         )
@@ -221,18 +218,49 @@ def patch_with_builder(
         h, s, runtime=runtime, queue_ids=frontier,
         tracer=tracer, metrics=metrics,
     )
-    touched = np.isin(delta.src, dirty) | np.isin(delta.dst, dirty)
-    clean = ~(np.isin(old_el.src, dirty) | np.isin(old_el.dst, dirty))
-    return finalize_edges(
-        np.concatenate([old_el.src[clean], delta.src[touched]]),
-        np.concatenate([old_el.dst[clean], delta.dst[touched]]),
-        np.concatenate(
-            [
-                old_el.weights[clean].astype(np.int64),
-                delta.weights[touched].astype(np.int64),
-            ]
-        ),
+    touched = ~_clean_mask(delta, dirty, n_e)
+    return _merge_patch(
+        old_el,
+        _clean_mask(old_el, dirty, n_e),
+        delta.src[touched],
+        delta.dst[touched],
+        delta.weights[touched],
         n_e,
+    )
+
+
+def _clean_mask(el: EdgeList, dirty: np.ndarray, n: int) -> np.ndarray:
+    """Edges of ``el`` (IDs below ``n``) with no endpoint in ``dirty``."""
+    is_dirty = np.zeros(n, dtype=bool)
+    is_dirty[dirty[dirty < n]] = True
+    return ~(is_dirty[el.src] | is_dirty[el.dst])
+
+
+def _merge_patch(
+    old_el: EdgeList,
+    clean: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    counts: np.ndarray,
+    n: int,
+) -> EdgeList:
+    """``old_el``'s clean edges plus the recounted pairs, canonical.
+
+    Equal to :func:`~repro.linegraph.common.finalize_edges` over the
+    concatenation, without re-sorting the whole list: the clean edges
+    are canonical already and share no pair with the recounted ones
+    (every recounted pair has a dirty endpoint), so only the recounted
+    pairs are canonicalized, then inserted at their binary-searched
+    positions.
+    """
+    delta = finalize_edges(src, dst, counts, n)
+    keep_src, keep_dst = old_el.src[clean], old_el.dst[clean]
+    at = np.searchsorted(keep_src * n + keep_dst, delta.src * n + delta.dst)
+    return EdgeList(
+        np.insert(keep_src, at, delta.src),
+        np.insert(keep_dst, at, delta.dst),
+        np.insert(old_el.weights[clean], at, delta.weights),
+        num_vertices=n,
     )
 
 

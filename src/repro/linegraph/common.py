@@ -422,4 +422,4 @@ def two_hop_pair_weighted(
 
 def linegraph_csr(el: EdgeList) -> CSR:
     """Symmetrize an s-line edge list into a CSR graph ready for metrics."""
-    return CSR.from_edgelist(el.symmetrize(), num_targets=el.num_vertices())
+    return CSR.from_undirected(el)

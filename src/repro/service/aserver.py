@@ -255,6 +255,12 @@ class AsyncAnalyticsServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            except asyncio.CancelledError:
+                # drain deadline hit mid-close: drop what is unflushed.
+                # Nothing awaits a connection task, so ending it normally
+                # hides no caller's cancellation; ending it cancelled makes
+                # asyncio's own done-callback raise (Python 3.11).
+                writer.transport.abort()
 
     async def _serve_connection(
         self,

@@ -124,6 +124,14 @@ def _require(query: dict, field: str) -> object:
     return query[field]
 
 
+def _check_vertex(v: int, n: int) -> None:
+    """Reject a point lookup outside ``[0, n)`` — numpy would wrap ``-1``."""
+    if not 0 <= v < n:
+        raise QueryError(
+            f"vertex {v} out of range [0, {n})", code="invalid_argument"
+        )
+
+
 class QueryEngine:
     """Dispatch JSON queries against resident hypergraphs.
 
@@ -513,9 +521,12 @@ class QueryEngine:
         if self._should_serve_lazy(query):
             from repro.algorithms.s_traversal import s_neighbors_lazy
 
-            nbrs = s_neighbors_lazy(self._lazy_side(query), v, self._s(query))
+            side = self._lazy_side(query)
+            _check_vertex(v, side.num_hyperedges())
+            nbrs = s_neighbors_lazy(side, v, self._s(query))
             return {"result": nbrs, "via": "lazy"}
         lg, via = self._linegraph(query)
+        _check_vertex(v, lg.num_vertices())
         return {"result": np.sort(lg.s_neighbors(v)), "via": via}
 
     def _op_s_degree(self, query: dict) -> dict:
@@ -523,11 +534,12 @@ class QueryEngine:
         if self._should_serve_lazy(query):
             from repro.algorithms.s_traversal import s_neighbors_lazy
 
-            deg = s_neighbors_lazy(
-                self._lazy_side(query), v, self._s(query)
-            ).size
+            side = self._lazy_side(query)
+            _check_vertex(v, side.num_hyperedges())
+            deg = s_neighbors_lazy(side, v, self._s(query)).size
             return {"result": int(deg), "via": "lazy"}
         lg, via = self._linegraph(query)
+        _check_vertex(v, lg.num_vertices())
         return {"result": lg.s_degree(v), "via": via}
 
     def _op_s_connected_components(self, query: dict) -> dict:

@@ -55,7 +55,7 @@ class AdjoinGraph:
         """Adjoin a bipartite edge list: shift part-1 IDs by ``n0``, symmetrize."""
         n0, n1 = el.vertex_cardinality
         directed = el.to_adjoin_edgelist()
-        graph = CSR.from_edgelist(directed.symmetrize())
+        graph = CSR.from_undirected(directed)
         return cls(graph, n0, n1)
 
     @classmethod

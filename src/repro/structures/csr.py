@@ -31,6 +31,17 @@ __all__ = ["CSR"]
 _INDEX_DTYPE = np.int64
 
 
+def _is_upper_canonical(src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether every pair has ``src < dst`` and the pairs strictly ascend."""
+    if src.size == 0:
+        return True
+    step = np.diff(src)
+    return bool(
+        np.all(src < dst)
+        and np.all((step > 0) | ((step == 0) & (np.diff(dst) > 0)))
+    )
+
+
 class CSR:
     """Compressed sparse row adjacency over ``num_sources`` source vertices.
 
@@ -160,6 +171,42 @@ class CSR:
             el.weights,
             num_sources=el.num_vertices(),
             num_targets=el.num_vertices() if num_targets is None else num_targets,
+        )
+
+    @classmethod
+    def from_undirected(cls, el: EdgeList) -> "CSR":
+        """Index an undirected edge list, storing every edge both ways.
+
+        Equal, array for array, to ``CSR.from_edgelist(el.symmetrize())``.
+        A canonical list — ``src < dst``, pairs strictly ascending, the
+        form :func:`~repro.linegraph.common.finalize_edges` emits — skips
+        the sort: row ``r`` is its lower neighbours (the transpose of the
+        upper triangle) followed by its upper neighbours, and both halves
+        already ascend, so one stable counting pass by row over the lower
+        half then the upper half lays every row out sorted, in
+        O(nnz + n).  scipy's COO→CSR conversion is that pass, in C++;
+        it promises canonical rows, so its own check finds nothing to
+        sort.  Any other list falls back to :meth:`from_coo`.
+        """
+        if not _is_upper_canonical(el.src, el.dst):
+            return cls.from_edgelist(el.symmetrize())
+        n, m = el.num_vertices(), len(el)
+        # int32 coordinates spare scipy a scan-and-downcast of int64 ones
+        idx = np.int32 if n < 2**31 else _INDEX_DTYPE
+        rows = np.concatenate([el.dst, el.src], dtype=idx)
+        cols = np.concatenate([el.src, el.dst], dtype=idx)
+        data = (
+            np.zeros(2 * m, dtype=np.bool_)
+            if el.weights is None
+            else np.concatenate([el.weights, el.weights])
+        )
+        sym = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        return cls(
+            sym.indptr,
+            sym.indices,
+            None if el.weights is None else sym.data,
+            num_targets=n,
+            sorted_rows=True,
         )
 
     @classmethod

@@ -241,6 +241,47 @@ class TestLifecycle:
             resp = session.query("s_degree", dataset="paper", s=1, v=0)
         assert resp["ok"]
 
+    def test_drain_deadline_mid_close_is_quiet(
+        self, engine, caplog, monkeypatch
+    ):
+        """Regression: the drain deadline used to cancel connections that
+        were already closing, and the cancellation escaped
+        ``writer.wait_closed()``; asyncio's done-callback for the
+        connection task then logged a ``CancelledError`` traceback.
+        Slowing the close makes every idle connection sit in it when the
+        deadline hits."""
+        import asyncio
+        import logging
+
+        real_wait_closed = asyncio.StreamWriter.wait_closed
+
+        async def slow_wait_closed(writer):
+            await asyncio.sleep(5)  # a peer slow to acknowledge the close
+            await real_wait_closed(writer)
+
+        monkeypatch.setattr(
+            asyncio.StreamWriter, "wait_closed", slow_wait_closed
+        )
+        srv = AsyncAnalyticsServer(engine, drain_timeout=0.05).start()
+        host, port = srv.address
+        sessions = [SocketSession(host, port) for _ in range(4)]
+        query = {"op": "s_degree", "dataset": "paper", "s": 1, "v": 0}
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                for session in sessions:  # pipeline, then go idle
+                    for _ in range(3):
+                        session.send(query)
+                    for _ in range(3):
+                        assert session.recv()["ok"]
+                srv.stop()
+        finally:
+            for session in sessions:
+                session.close()
+        assert not [
+            r for r in caplog.records
+            if r.exc_info or "never retrieved" in r.getMessage()
+        ]
+
 
 class TestExecutorTeardown:
     def test_stop_joins_executor_off_the_loop(self, engine):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.runtime import ParallelRuntime
-from repro.service import QueryEngine, SLineGraphCache
+from repro.service import QueryEngine, ShardedEngine, SLineGraphCache
 from repro.service.store import HypergraphStore
 
 from ..conftest import PAPER_MEMBERS, PAPER_OVERLAPS, make_biedgelist, random_biedgelist
@@ -165,6 +165,34 @@ class TestErrors:
         )
         assert not resp["ok"] and "out of range" in resp["error"]["message"]
         assert resp["error"]["code"] == "invalid_argument"
+
+    @pytest.mark.parametrize("op", ["s_degree", "s_neighbors"])
+    @pytest.mark.parametrize("v", [99, 3, -1])
+    @pytest.mark.parametrize("path", ["cached", "lazy", "sharded"])
+    @pytest.mark.parametrize("over_edges", [True, False])
+    def test_point_lookup_vertex_out_of_range(self, op, v, path, over_edges):
+        # 3 hyperedges over 4 hypernodes: v=3 is valid only node-side
+        el = make_biedgelist([[0, 1], [1, 2], [2, 3]], num_nodes=4)
+        eng = ShardedEngine(num_shards=2) if path == "sharded" else QueryEngine()
+        eng.store.register("tiny", el)
+        q = {"op": op, "dataset": "tiny", "s": 1, "v": v,
+             "over_edges": over_edges}
+        if path == "cached":
+            eng.execute({"op": "warm", "dataset": "tiny", "s_values": [1],
+                         "over_edges": over_edges})
+        if path == "lazy":
+            q["materialize"] = "never"
+        resp = eng.execute(q)
+        if v == 3 and not over_edges:
+            # hypernode 3 shares hyperedge 2 with hypernode 2 only
+            assert resp["ok"], resp
+            assert resp["result"] == (1 if op == "s_degree" else [2])
+            assert resp["via"] == {"cached": "cache:hit", "lazy": "lazy",
+                                   "sharded": "shard:route"}[path]
+            return
+        assert not resp["ok"], resp
+        assert resp["error"]["code"] == "invalid_argument"
+        assert "out of range" in resp["error"]["message"]
 
     def test_errors_counted_in_metrics(self, engine):
         engine.execute({"op": "frobnicate"})
