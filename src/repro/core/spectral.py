@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from repro.structures.biadjacency import BiAdjacency
 from repro.structures.matrices import incidence_matrix
@@ -72,6 +71,10 @@ def fiedler_vector(
     Deterministic given the seed (fixed eigsh starting vector); the sign
     is normalized so the first nonzero component is positive.
     """
+    # imported here: scipy.sparse.linalg pulls in scipy.linalg, which
+    # every `repro serve` start would otherwise pay for
+    from scipy.sparse.linalg import eigsh
+
     n = laplacian.shape[0]
     if n < 3:
         raise ValueError("need at least 3 vertices for a useful Fiedler cut")

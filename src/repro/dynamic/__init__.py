@@ -19,6 +19,7 @@ from .incremental import (
     delta_frontier,
     delta_pair_counts,
     patch_linegraph,
+    patch_slinegraph,
     patch_with_builder,
 )
 from .log import MUTATION_KINDS, Mutation, MutationLog
@@ -42,6 +43,7 @@ __all__ = [
     "delta_frontier",
     "delta_pair_counts",
     "patch_linegraph",
+    "patch_slinegraph",
     "patch_with_builder",
     "should_patch",
 ]

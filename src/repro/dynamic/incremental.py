@@ -44,6 +44,7 @@ __all__ = [
     "delta_frontier",
     "delta_pair_counts",
     "patch_linegraph",
+    "patch_slinegraph",
     "patch_with_builder",
 ]
 
@@ -172,6 +173,43 @@ def patch_linegraph(
         m.counter("dynamic_patched_pairs_total").inc(int(live.sum()))
         m.counter("dynamic_patch_work_total").inc(work)
     return out
+
+
+def patch_slinegraph(
+    old_el: EdgeList,
+    state,
+    dirty_ids,
+    s: int,
+    over_edges: bool = True,
+    *,
+    threshold: float = DEFAULT_PATCH_THRESHOLD,
+    tracer=None,
+    metrics=None,
+) -> SLineGraph | None:
+    """Decide, patch and materialize: the patched ``L_s``, or ``None``.
+
+    The one decide → :func:`patch_linegraph` → :class:`SLineGraph` step
+    every maintainer shares (the service's ``update`` op, warm-restart
+    roll-forward, :class:`IncrementalSLineGraph`).  ``state`` is the
+    side's overlay view (``dyn.state`` or ``dyn.state.dual()``) and
+    ``dirty_ids`` the IDs of that side touched since ``old_el`` was
+    current — one batch's delta or the union of many, since a pair with
+    no dirty endpoint keeps its member sets and so its overlap.
+    ``None`` means the caller must not patch: the policy
+    (:func:`~repro.dynamic.policy.decide_patch_or_rebuild`) prefers a
+    rebuild, or ``old_el`` carries no overlap weights.
+    """
+    if decide_patch_or_rebuild(
+        len(dirty_ids), state.num_edges(), threshold
+    ) != "patch":
+        return None
+    try:
+        el = patch_linegraph(
+            old_el, state, dirty_ids, s, tracer=tracer, metrics=metrics
+        )
+    except ValueError:
+        return None
+    return SLineGraph(el, s=s, over_edges=over_edges)
 
 
 def patch_with_builder(
@@ -385,19 +423,13 @@ class IncrementalSLineGraph:
         )
         outcomes: dict[int, str] = {}
         for s in self.s_values:
-            how = decide_patch_or_rebuild(
-                len(dirty), state.num_edges(), self.threshold
+            lg = patch_slinegraph(
+                self._graphs[s].edgelist, state, dirty, s, self.over_edges,
+                threshold=self.threshold,
+                tracer=self._tracer, metrics=self._metrics,
             )
-            if how == "patch":
-                el = patch_linegraph(
-                    self._graphs[s].edgelist, state, dirty, s,
-                    tracer=self._tracer, metrics=self._metrics,
-                )
-                self._graphs[s] = SLineGraph(
-                    el, s=s, over_edges=self.over_edges
-                )
-            else:
-                self._graphs[s] = self._rebuild(s)
+            how = "rebuild" if lg is None else "patch"
+            self._graphs[s] = self._rebuild(s) if lg is None else lg
             outcomes[s] = how
             self._metrics.counter(
                 "dynamic_linegraph_refreshes_total", how=how

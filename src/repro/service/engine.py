@@ -216,8 +216,9 @@ class QueryEngine:
         store is opened (O(1) mmap adoption + WAL tail replay) and
         registered as a durable-dynamic dataset; with ``hydrate=True``
         the s-line graphs recorded in the manifest are admitted into the
-        serving cache under the version-aware key — skipped automatically
-        when WAL replay advanced past the snapshot (they would be stale).
+        serving cache under the version-aware key — rolled forward through
+        the replayed WAL tail by one delta patch, and omitted (built
+        lazily instead) where the patch-vs-rebuild policy says rebuild.
         Returns a JSON-safe summary including the recovery report.
         """
         self.store.register(
@@ -743,9 +744,7 @@ class QueryEngine:
         re-admitted under the new version-aware key.  ``compact=True``
         additionally folds the mutation log into a fresh frozen base.
         """
-        from repro.core.slinegraph import SLineGraph
-        from repro.dynamic.incremental import patch_linegraph
-        from repro.dynamic.policy import decide_patch_or_rebuild
+        from repro.dynamic.incremental import patch_slinegraph
 
         name = _require(query, "dataset")
         ops = _require(query, "ops")
@@ -766,33 +765,21 @@ class QueryEngine:
         state = dyn.state
         outcomes: dict[str, str] = {}
         for s, over_edges, lg in self.cache.entries_for(old_key):
-            dirty = res.dirty_edges if over_edges else res.dirty_nodes
-            n = state.num_edges() if over_edges else state.num_nodes()
-            decision = decide_patch_or_rebuild(len(dirty), n)
             label = f"s={s},{'edges' if over_edges else 'nodes'}"
-            if decision == "patch":
-                side = state if over_edges else state.dual()
-                try:
-                    patched = patch_linegraph(
-                        lg.edgelist,
-                        side,
-                        sorted(dirty),
-                        s,
-                        tracer=self.tracer,
-                        metrics=self.obs_metrics,
-                    )
-                except ValueError:
-                    outcomes[label] = "dropped"
-                    continue
-                admitted = self.cache.put(
-                    new_key,
-                    s,
-                    over_edges,
-                    SLineGraph(patched, s=s, over_edges=over_edges),
-                )
-                outcomes[label] = "patched" if admitted else "patched:bypass"
-            else:
+            patched = patch_slinegraph(
+                lg.edgelist,
+                state if over_edges else state.dual(),
+                res.dirty_edges if over_edges else res.dirty_nodes,
+                s,
+                over_edges,
+                tracer=self.tracer,
+                metrics=self.obs_metrics,
+            )
+            if patched is None:
                 outcomes[label] = "dropped"
+            else:
+                admitted = self.cache.put(new_key, s, over_edges, patched)
+                outcomes[label] = "patched" if admitted else "patched:bypass"
             self.obs_metrics.counter(
                 "dynamic_cache_patches_total", outcome=outcomes[label]
             ).inc()

@@ -16,9 +16,12 @@
    batches to the same log.
 
 The result is a :class:`StoreHandle`: the serving layer registers its
-``dynamic`` directly, rehydrates recorded hot s-line graphs when they
-are still current, and checkpoints via :meth:`StoreHandle.checkpoint`
-(fold the overlay, write a fresh snapshot, reset the WAL).
+``dynamic`` directly, rehydrates the recorded hot s-line graphs
+(:meth:`StoreHandle.hot_linegraphs` — adopted at the snapshot version,
+then rolled forward through the replayed tail by one delta patch), and
+checkpoints via :meth:`StoreHandle.checkpoint` (fold the overlay, write
+a fresh snapshot, reset the WAL).  Roll-forward is not part of
+:func:`open_store`, which stays O(1) plus the replay.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 from repro.core.hypergraph import NWHypergraph
 from repro.core.slinegraph import SLineGraph
 from repro.dynamic.hypergraph import ApplyResult, DynamicHypergraph
+from repro.dynamic.incremental import patch_slinegraph
 from repro.dynamic.log import parse_batch
 from repro.structures.adjoin import AdjoinGraph
 from repro.structures.biadjacency import BiAdjacency
@@ -189,30 +193,57 @@ class StoreHandle:
         return self.dynamic.snapshot()
 
     def hot_linegraphs(self) -> dict[tuple[int, bool], SLineGraph]:
-        """Recorded hot s-line graphs, **iff** they are still current.
+        """Recorded hot s-line graphs, rolled forward to the current version.
 
-        Hot entries describe the snapshot state; any replayed WAL batch
-        invalidates them (the serving layer rebuilds lazily instead).
+        Each entry is adopted from the slab at the snapshot version.  If
+        the WAL tail replayed batches, one :func:`~repro.dynamic
+        .incremental.patch_slinegraph` over the union of their dirty sets
+        brings it to the replayed version — exact, because a pair with no
+        endpoint touched since the snapshot keeps its member sets and so
+        its overlap, and every other pair is recounted against the
+        current state.  An entry the patch-vs-rebuild policy would
+        rebuild, or one persisted without overlap weights, is omitted
+        (the serving layer builds it lazily) and counted in
+        ``store.hot_skipped_stale``.
         """
-        if self.dynamic.version != self.manifest.base_version:
-            self._metrics.counter("store.hot_skipped_stale").inc()
-            return {}
+        dyn = self.dynamic
         out: dict[tuple[int, bool], SLineGraph] = {}
-        for spec in self.manifest.hot:
-            weights = (
-                self.slab.array(spec["weights"])
-                if spec.get("weights")
-                else None
-            )
-            el = EdgeList(
-                self.slab.array(spec["src"]),
-                self.slab.array(spec["dst"]),
-                weights,
-                num_vertices=int(spec["num_vertices"]),
-            )
-            key = (int(spec["s"]), bool(spec["over_edges"]))
-            out[key] = SLineGraph(el, s=key[0], over_edges=key[1])
-            self._metrics.counter("store.hot_rehydrated").inc()
+        with dyn._lock, self._tracer.span(
+            "store.rollforward",
+            base_version=self.manifest.base_version,
+            version=dyn.version,
+        ):
+            stale = dyn.version != self.manifest.base_version
+            for spec in self.manifest.hot:
+                weights = (
+                    self.slab.array(spec["weights"])
+                    if spec.get("weights")
+                    else None
+                )
+                el = EdgeList(
+                    self.slab.array(spec["src"]),
+                    self.slab.array(spec["dst"]),
+                    weights,
+                    num_vertices=int(spec["num_vertices"]),
+                )
+                s, over_edges = int(spec["s"]), bool(spec["over_edges"])
+                if not stale:
+                    lg = SLineGraph(el, s=s, over_edges=over_edges)
+                else:
+                    side, dirty = (
+                        (dyn.state, dyn.dirty_edges())
+                        if over_edges
+                        else (dyn.state.dual(), dyn.dirty_nodes())
+                    )
+                    lg = patch_slinegraph(
+                        el, side, dirty, s, over_edges,
+                        tracer=self._tracer, metrics=self._metrics,
+                    )
+                if lg is None:
+                    self._metrics.counter("store.hot_skipped_stale").inc()
+                    continue
+                out[(s, over_edges)] = lg
+                self._metrics.counter("store.hot_rehydrated").inc()
         return out
 
     def checkpoint(self, recompute_hot: bool = True) -> Manifest:

@@ -1,5 +1,9 @@
 """Spectral partitioning tests (Zhou Laplacian, Fiedler cut)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import sparse as sp
@@ -110,3 +114,20 @@ class TestBipartition:
             if np.unique(labels[mem]).size > 1:
                 straddling += 1
         assert straddling <= 3  # only the bridge edge + slack
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    """``eigsh`` is imported on first use: a ``repro serve`` start does not
+    pay for ``scipy.sparse.linalg`` (and the ``scipy.linalg`` it loads)."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    code = (
+        "import sys, repro.cli\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules, 'eager eigsh'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

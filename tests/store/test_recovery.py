@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.hypergraph import NWHypergraph
 from repro.dynamic.hypergraph import DynamicHypergraph
+from repro.dynamic.policy import decide_patch_or_rebuild
 from repro.store import (
     StoreError,
     build_store,
@@ -58,7 +59,13 @@ def test_reopen_replays_the_tail(tmp_path):
         got = h2.hypergraph()
         assert np.array_equal(got._el.part0, state._el.part0)
         assert np.array_equal(got._el.part1, state._el.part1)
-        # replayed state invalidates persisted hot entries
+        # the replayed batches dirtied more of the 12 hyperedges than the
+        # patch policy's threshold allows: the persisted s=1 entry is
+        # omitted (served lazily) instead of rolled forward
+        dyn = h2.dynamic
+        assert decide_patch_or_rebuild(
+            len(dyn.dirty_edges()), dyn.state.num_edges()
+        ) == "rebuild"
         assert h2.hot_linegraphs() == {}
     finally:
         h2.close()

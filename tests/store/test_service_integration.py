@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dynamic.policy import decide_patch_or_rebuild
 from repro.service import QueryEngine
 from repro.store import build_store, open_store
 from tests.conftest import random_biedgelist
@@ -68,12 +69,53 @@ def test_updates_survive_engine_restart(store_dir):
         info = eng2.register_store("svc", store_dir)
         assert info["version"] == 3
         assert info["recovery"]["replayed_batches"] == 3
-        assert info["hydrated"] == []  # replayed tail -> hot set is stale
+        # 3 new hyperedges out of 23 is past the patch policy's
+        # threshold: the hot entries are omitted, not rolled forward
+        dyn = eng2.store.store_handle("svc").dynamic
+        assert decide_patch_or_rebuild(
+            len(dyn.dirty_edges()), dyn.state.num_edges()
+        ) == "rebuild"
+        assert info["hydrated"] == []
         got = eng2.store.get("svc")
         assert np.array_equal(got._el.part0, state._el.part0)
         assert np.array_equal(got._el.part1, state._el.part1)
     finally:
         eng2.close()
+
+
+def test_restart_serves_the_rolled_forward_entry(tmp_path):
+    el = random_biedgelist(seed=11, num_edges=60, num_nodes=40, max_size=6)
+    build_store(tmp_path / "store", el, name="svc", warm_s=(2,))
+    batches = [
+        [{"op": "add_edge", "members": [0, 1, 2]}],
+        [{"op": "remove_incidence", "edge": 5,
+          "node": int(el.part1[el.part0 == 5][0])}],
+        [{"op": "add_incidence", "edge": 9, "node": 39}],
+    ]
+    eng = QueryEngine()
+    eng.register_store("svc", tmp_path / "store")
+    ref = QueryEngine()
+    ref.store.register("svc", el)
+    try:
+        for ops in batches:
+            for engine in (eng, ref):
+                engine.execute({"op": "update", "dataset": "svc", "ops": ops})
+    finally:
+        eng.close()
+
+    eng2 = QueryEngine()
+    try:
+        info = eng2.register_store("svc", tmp_path / "store")
+        assert info["recovery"]["replayed_batches"] == 3
+        assert info["hydrated"] == [{"s": 2, "over_edges": True}]
+        for s, via in ((2, "cache:hit"), (3, "cache:derive")):
+            query = {"op": "s_connected_components", "dataset": "svc", "s": s}
+            got = eng2.execute(query)
+            assert got["via"] == via
+            assert got["result"] == ref.execute(query)["result"]
+    finally:
+        eng2.close()
+        ref.close()
 
 
 def test_update_with_compact_checkpoints_durably(store_dir):
