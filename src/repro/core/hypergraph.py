@@ -24,7 +24,7 @@ from repro.algorithms.adjoincc import adjoincc
 from repro.algorithms.hyperbfs import hyperbfs
 from repro.algorithms.hypercc import hypercc
 from repro.algorithms.toplex import toplexes as _toplexes
-from repro.linegraph import slinegraph_ensemble, to_two_graph
+from repro.linegraph import ALGORITHMS, slinegraph_ensemble, to_two_graph
 from repro.parallel.runtime import ParallelRuntime
 from repro.structures.adjoin import AdjoinGraph
 from repro.structures.biadjacency import BiAdjacency
@@ -582,11 +582,16 @@ class NWHypergraph:
         memoized on the hypergraph like the lazy
         ``biadjacency``/``adjoin_graph`` representations (every algorithm
         yields the identical canonical edge list, so the key may safely
-        include the algorithm).  Calls carrying a ``runtime`` bypass the
-        memo: they exist to *measure* construction, and a cache hit would
-        skip the simulated schedule.  Memo hits emit no spans or counters
-        (no construction work happened).  Use :meth:`invalidate` to drop
-        everything memoized.
+        include the algorithm).  An unweighted miss is **derived** without
+        counting when the memo holds an unweighted graph on the same side
+        for some ``s' <= s`` under any algorithm: the largest such
+        ``L_{s'}`` is thresholded (:meth:`SLineGraph.derive`) and the
+        result memoized under the requested key.  Calls carrying a
+        ``runtime`` bypass the memo: they exist to *measure*
+        construction, and a cache hit would skip the simulated schedule.
+        Memo hits and derives emit no spans or counters (no construction
+        work happened).  Use :meth:`invalidate` to drop everything
+        memoized.
         """
         if edges is not None:
             warnings.warn(
@@ -598,6 +603,11 @@ class NWHypergraph:
         memo_key = (int(s), bool(over_edges), algorithm, bool(weighted))
         if runtime is None and memo_key in self._slg_memo:
             return self._slg_memo[memo_key]
+        base = None if runtime is not None else self._derive_base(memo_key)
+        if base is not None:
+            lg = base.derive(s)
+            self._slg_memo[memo_key] = lg
+            return lg
         h = self.biadjacency if over_edges else self.biadjacency.dual()
         if weighted:
             if self.weights is None:
@@ -627,6 +637,26 @@ class NWHypergraph:
         if runtime is None:
             self._slg_memo[memo_key] = lg
         return lg
+
+    def _derive_base(self, memo_key: tuple) -> SLineGraph | None:
+        """The memo entry an unweighted ``memo_key`` can be filtered from.
+
+        Every algorithm yields the same canonical list, so any unweighted
+        entry on the same side with ``s' <= s`` and overlap counts will do;
+        the largest such ``s'`` leaves the least to filter.
+        """
+        s, over_edges, algorithm, weighted = memo_key
+        if weighted or (algorithm != "auto" and algorithm not in ALGORITHMS):
+            return None
+        best = None
+        for (s2, oe, _, w), lg in self._slg_memo.items():
+            if (
+                oe == over_edges and not w and s2 <= s
+                and lg.edgelist.weights is not None
+                and (best is None or s2 > best.s)
+            ):
+                best = lg
+        return best
 
     def s_linegraphs(  # repro: noqa-R005 — edges= is the deprecation shim itself (warns, tested)
         self,

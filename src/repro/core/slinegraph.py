@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.betweenness import betweenness_centrality
-from repro.graph.bfs import bfs_top_down
+from repro.graph.bfs import bfs_bidirectional, bfs_top_down
 from repro.graph.cc import connected_components
 from repro.graph.kcore import core_number
 from repro.graph.mis import maximal_independent_set
@@ -33,6 +33,7 @@ from repro.graph.paths import (
     harmonic_closeness_centrality,
 )
 from repro.graph.sssp import dijkstra
+from repro.linegraph.common import filter_overlaps
 from repro.parallel.runtime import ParallelRuntime
 from repro.structures.csr import CSR
 from repro.structures.edgelist import EdgeList
@@ -48,6 +49,21 @@ class SLineGraph:
         self.over_edges = bool(over_edges)
         self.edgelist = el
         self.graph = CSR.from_undirected(el)
+
+    def derive(self, s: int) -> "SLineGraph":
+        """``L_s`` from this ``L_{s'}`` (``s' <= s``) without recounting.
+
+        The s-line graphs are monotone in s with identical overlap
+        weights on the surviving pairs, so thresholding this graph's
+        overlap counts (:func:`~repro.linegraph.common.filter_overlaps`)
+        gives exactly what a fresh count would.  Raises ``ValueError``
+        when ``s < self.s`` or the edge list carries no overlap counts.
+        """
+        if s < self.s:
+            raise ValueError(f"cannot derive s={s} from s={self.s}")
+        return SLineGraph(
+            filter_overlaps(self.edgelist, s), s, self.over_edges
+        )
 
     # -- structure -----------------------------------------------------------
     def num_vertices(self) -> int:
@@ -115,24 +131,23 @@ class SLineGraph:
             )
 
     def s_distance(self, src: int, dest: int) -> int:
-        """Hop distance in the s-line graph; ``-1`` if unreachable."""
-        self._check_vertex(src, "src")
-        self._check_vertex(dest, "dest")
-        dist, _ = bfs_top_down(self.graph, src)
-        return int(dist[dest])
+        """Hop distance in the s-line graph; ``-1`` if unreachable.
+
+        A bidirectional BFS (:func:`~repro.graph.bfs.bfs_bidirectional`)
+        that stops where the searches from both ends meet, so a short
+        answer explores two small neighbourhoods, not the whole graph.
+        """
+        return len(self.s_path(src, dest)) - 1
 
     def s_path(self, src: int, dest: int) -> list[int]:
-        """One shortest s-walk (as hyperedge IDs); ``[]`` if unreachable."""
+        """One shortest s-walk (as hyperedge IDs); ``[]`` if unreachable.
+
+        Found by the same bidirectional BFS as :meth:`s_distance`; the
+        path is a function of the graph alone, so repeated calls agree.
+        """
         self._check_vertex(src, "src")
         self._check_vertex(dest, "dest")
-        dist, parent = bfs_top_down(self.graph, src)
-        if dist[dest] < 0:
-            return []
-        path = [int(dest)]
-        while path[-1] != src:
-            path.append(int(parent[path[-1]]))
-        path.reverse()
-        return path
+        return bfs_bidirectional(self.graph, int(src), int(dest))
 
     def s_diameter(self) -> int:
         """Largest eccentricity among non-isolated vertices (0 if none)."""

@@ -7,7 +7,10 @@ The three variants NWGraph provides and the paper's AdjoinBFS builds on
 * **bottom-up** scans *unvisited* vertices for any parent in the frontier —
   cheaper when the frontier covers most of the graph;
 * **direction-optimizing** switches between the two with Beamer's α/β
-  heuristic.
+  heuristic;
+* **bidirectional** grows one top-down search from each end of a
+  source–target query and stops when they meet, so a short answer costs
+  two small neighbourhoods instead of a whole traversal.
 
 All variants are level-synchronous and vectorized per level; when a
 :class:`~repro.parallel.runtime.ParallelRuntime` is supplied, each level is
@@ -24,7 +27,12 @@ from repro.structures.csr import CSR
 
 from .traversal import frontier_edge_count, gather_neighbors
 
-__all__ = ["bfs_top_down", "bfs_bottom_up", "bfs_direction_optimizing"]
+__all__ = [
+    "bfs_bidirectional",
+    "bfs_bottom_up",
+    "bfs_direction_optimizing",
+    "bfs_top_down",
+]
 
 # Beamer's published defaults.
 ALPHA = 15.0
@@ -98,6 +106,55 @@ def bfs_top_down(
             )
             frontier = _merge_frontier(parts)
     return dist, parent
+
+
+def bfs_bidirectional(graph: CSR, source: int, target: int) -> list[int]:
+    """One shortest ``source``–``target`` path; ``[]`` if unreachable.
+
+    ``graph`` must be symmetric (an undirected graph's CSR), since the
+    backward search walks out-edges too.  Two level-synchronous top-down
+    searches run, one from each end.  Each round expands one full level
+    of the side whose frontier has fewer out-edges (the forward side on a
+    tie).  Once a level reaches vertices the other side has already
+    seen, the path through the one with the least ``level +
+    other_dist[v]`` (lowest ID on a tie) is shortest: the searches had
+    not met before, so no path is shorter than that sum.  When either
+    frontier empties first, the ends are disconnected.  Every choice
+    depends on the graph alone, so repeated calls return the same path.
+    """
+    if source == target:
+        return [int(source)]
+    n = graph.num_vertices()
+    dist = np.full((2, n), -1, dtype=np.int64)
+    parent = np.full((2, n), -1, dtype=np.int64)
+    frontier = [np.array([source], dtype=np.int64),
+                np.array([target], dtype=np.int64)]
+    for side, end in enumerate((source, target)):
+        dist[side, end] = 0
+        parent[side, end] = end
+    level = [0, 0]
+    while frontier[0].size and frontier[1].size:
+        side = int(
+            frontier_edge_count(graph, frontier[1])
+            < frontier_edge_count(graph, frontier[0])
+        )
+        level[side] += 1
+        frontier[side], _ = _expand_top_down(
+            graph, frontier[side], dist[side], parent[side], level[side]
+        )
+        met = frontier[side][dist[1 - side, frontier[side]] >= 0]
+        if met.size:
+            via = int(met[np.argmin(dist[1 - side, met])])
+            return _walk(parent[0], via)[::-1] + _walk(parent[1], via)[1:]
+    return []
+
+
+def _walk(parent: np.ndarray, v: int) -> list[int]:
+    """``v`` and its ancestors up to the search root."""
+    path = [v]
+    while parent[path[-1]] != path[-1]:
+        path.append(int(parent[path[-1]]))
+    return path
 
 
 def _task_top_down(graph, chunk, dist, parent, level):

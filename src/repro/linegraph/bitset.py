@@ -11,11 +11,10 @@ into a bit vector of ``⌈n_v/64⌉`` uint64 words, and ``|e ∩ f|`` becomes
 a bitwise AND plus a popcount — ``n_v/64`` word operations per pair,
 branchless, no sorting, no hashing.
 
-Packing uses ``np.packbits`` over a boolean row matrix; popcount is a
-256-entry byte lookup table (numpy has no vectorized popcount on
-integers, but ``POPCOUNT8[bytes].sum(axis=1)`` is one gather + one
-reduction).  The AND itself runs on the uint64 view of the packed rows
-so the inner loop moves 8 bytes per operation.
+Packing uses ``np.packbits`` over a boolean row matrix.  The AND runs
+on the uint64 view of the packed rows, so the inner loop moves 8 bytes
+per operation, and ``np.bitwise_count`` (numpy >= 2.0) pops each AND-ed
+word in place before one row reduction.
 
 :class:`BitsetOverlapKernel` is shaped exactly like the other kernel
 bodies (:mod:`repro.linegraph.kernels`): picklable, pure, opens its
@@ -40,11 +39,6 @@ __all__ = [
     "pack_rows",
     "popcount_bytes",
 ]
-
-#: bits set in each possible byte value — the vectorized popcount table
-POPCOUNT8 = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1
-).sum(axis=1).astype(np.int64)
 
 #: pad packed rows to whole uint64 words so the AND runs 8 bytes at a time
 _WORD_BYTES = 8
@@ -79,9 +73,7 @@ def pack_rows(csr, ids: np.ndarray, num_targets: int) -> np.ndarray:
 
 def popcount_bytes(packed: np.ndarray) -> np.ndarray:
     """Row-wise popcount of a packed uint8 matrix."""
-    if packed.size == 0:
-        return np.zeros(packed.shape[0], dtype=np.int64)
-    return POPCOUNT8[packed].sum(axis=1)
+    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
 
 
 def bitset_overlap_counts(
@@ -90,15 +82,14 @@ def bitset_overlap_counts(
     """``|row ∩ others[k]|`` for every packed row ``k``.
 
     ``row`` is one packed bitset (uint8), ``others`` a packed matrix of
-    the same width.  The AND runs on the uint64 reinterpretation; the
-    popcount on the byte view of the result.
+    the same width.  The AND and the popcount both run on the uint64
+    reinterpretation.
     """
     if others.size == 0:
         return np.zeros(others.shape[0], dtype=np.int64)
     a = row.view(np.uint64)
     b = others.reshape(others.shape[0], -1).view(np.uint64)
-    common = (b & a[None, :]).view(np.uint8)
-    return POPCOUNT8[common].sum(axis=1)
+    return np.bitwise_count(b & a[None, :]).sum(axis=1, dtype=np.int64)
 
 
 class BitsetOverlapKernel:

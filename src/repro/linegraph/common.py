@@ -324,8 +324,8 @@ def two_hop_pair_counts(
     filter.  (Micro-bench, rand1 full frontier: 1.06x; degree-1-heavy
     powerlaw tails: 1.3–1.6x — the saved work is exactly the count of
     degree-1 incidences.)  ``upper_only=False`` callers keep the full
-    expansion: the diagonal self-pairs they rely on (`s_traversal`,
-    toplex) come from precisely those members.
+    expansion: the diagonal self-pairs they rely on (`s_traversal`)
+    come from precisely those members.
     """
     hyperedge_ids = np.asarray(hyperedge_ids, dtype=np.int64)
     if hyperedge_ids.size == 0:

@@ -12,7 +12,8 @@ Two ways a request avoids the counting pass:
   ``s' < s`` is cached.  Every construction algorithm already records the
   overlap size ``|e ∩ f|`` as the edge weight, and ``L_s`` is exactly the
   sub-edge-list of ``L_{s'}`` whose weights reach ``s``
-  (:func:`repro.linegraph.common.filter_overlaps`) — a single vectorized
+  (:meth:`repro.core.slinegraph.SLineGraph.derive`, the derive path
+  ``NWHypergraph.s_linegraph``'s memo shares) — a single vectorized
   threshold instead of a two-hop counting pass.  The largest cached
   ``s' < s`` is preferred (fewest edges to filter).
 
@@ -249,14 +250,9 @@ class SLineGraphCache:
 
             base_key = self._derivable_key(dataset, s, over_edges)
             if base_key is not None:
-                from repro.linegraph.common import filter_overlaps
-
                 base = self._entries[base_key]
                 self._entries.move_to_end(base_key)
-                lg = SLineGraph(
-                    filter_overlaps(base.edgelist, s), s=s,
-                    over_edges=over_edges,
-                )
+                lg = base.derive(s)
                 self.stats.derives += 1
                 self._c_outcome["derive"].inc()
                 self._admit(key, lg)
