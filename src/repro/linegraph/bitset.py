@@ -1,10 +1,11 @@
 """Bitset-adjacency s-overlap kernel — the dense complement (ROADMAP 3).
 
 The hashmap and intersection families pay per *incidence*: the two-hop
-expansion of a hyperedge ``e`` touches ``Σ_{v∈e} deg(v)`` keys, then
-sorts them (``np.unique``).  On skewed inputs — a few huge hyperedges
-over well-connected hypernodes — that expansion explodes quadratically
-while the vertex universe stays small.  That regime is where the classic
+expansion of a hyperedge ``e`` touches the entries after ``e`` in each
+member's row — about half of ``Σ_{v∈e} deg(v)`` — then sorts them.  On
+skewed inputs — a few huge hyperedges over well-connected hypernodes —
+that expansion explodes quadratically while the vertex universe stays
+small.  That regime is where the classic
 dense representation wins (the heuristic-kernel-selection argument of
 the high-order line-graph paper, PAPERS.md): pack each incidence row
 into a bit vector of ``⌈n_v/64⌉`` uint64 words, and ``|e ∩ f|`` becomes

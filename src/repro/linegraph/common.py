@@ -298,6 +298,95 @@ def batch_intersect_counts(
     return np.bincount(common // n_v, minlength=pairs.shape[0]).astype(np.int64)
 
 
+def _upper_bounds(
+    indices: np.ndarray, lo: np.ndarray, hi: np.ndarray, key: np.ndarray
+) -> np.ndarray:
+    """Per sorted slice ``indices[lo[i]:hi[i]]``, the first position > key[i].
+
+    One lockstep bisection over all slices at once: each round halves
+    every still-open ``[lo, hi)`` window with one gather and compare, and
+    closed windows drop out of the active set, so the cost is
+    ``Σ log(hi - lo)`` element steps — no pass over ``indices`` itself.
+    Equal entries stay on the left, which is ``searchsorted(side='right')``
+    per slice and so holds on rows with repeated values too.
+    """
+    lo = lo.copy()
+    hi = hi.copy()
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        lo_l, hi_l = lo[live], hi[live]
+        mid = (lo_l + hi_l) >> 1
+        right = indices[mid] <= key[live]
+        lo_l = np.where(right, mid + 1, lo_l)
+        hi_l = np.where(right, hi_l, mid)
+        lo[live] = lo_l
+        hi[live] = hi_l
+        live = live[lo_l < hi_l]
+    return lo
+
+
+def _two_hop_slices(
+    edges: CSR, nodes: CSR, hyperedge_ids: np.ndarray, upper_only: bool
+):
+    """Hop 1 and the hop-2 slice bounds of a two-hop walk from ``ids``.
+
+    Returns ``(starts, sizes, e_for_member, lo, m_sizes, work)``: hop 1
+    visits ``edges.indices[starts[i]:starts[i]+sizes[i]]`` for id *i*;
+    member *k* (owned by hyperedge ``e_for_member[k]``) contributes the
+    hop-2 candidates ``nodes.indices[lo[k]:lo[k]+m_sizes[k]]``.  Under
+    ``upper_only`` that slice starts after e's own slot — at the first
+    entry ``> e`` of the member's sorted row — so only the ``f > e`` half
+    (line 10's ``i < j``) is ever gathered; degree-1 members (whose row
+    is ``[e]``) contribute nothing.  ``work`` is the paper's traversal
+    count, ``members + Σ deg(v)`` over members of degree > 1 (every
+    member when ``upper_only`` is off), taken from the degrees alone.
+    """
+    if upper_only and not nodes.has_sorted_rows:
+        raise ValueError(
+            "the upper-half two-hop walk needs a node CSR with sorted rows"
+        )
+    from repro.graph.traversal import multi_slice
+
+    starts = edges.indptr[hyperedge_ids]
+    sizes = edges.indptr[hyperedge_ids + 1] - starts
+    members = multi_slice(edges.indices, starts, sizes)
+    e_for_member = np.repeat(hyperedge_ids, sizes)
+    m_starts = nodes.indptr[members]
+    m_ends = nodes.indptr[members + 1]
+    degrees = m_ends - m_starts
+    if upper_only:
+        lo = _upper_bounds(nodes.indices, m_starts, m_ends, e_for_member)
+        traversed = int(degrees[degrees > 1].sum())
+    else:
+        lo = m_starts
+        traversed = int(degrees.sum())
+    return (
+        starts, sizes, e_for_member, lo, m_ends - lo,
+        members.size + traversed,
+    )
+
+
+def _pair_keys(
+    e_for_member: np.ndarray, m_sizes: np.ndarray, cand: np.ndarray, n: int
+) -> np.ndarray:
+    """Pack ``e * n + f`` per candidate: ``uint32`` when every key fits.
+
+    ``e * n`` is formed once per member and repeated in the key dtype,
+    then the candidates are added in place — no int64 source column.
+    """
+    dtype = np.uint32 if n * n <= 2**32 else np.int64
+    key = np.repeat((e_for_member * n).astype(dtype), m_sizes)
+    np.add(key, cand, out=key, casting="unsafe")
+    return key
+
+
+def _split_keys(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unpack :func:`_pair_keys` into int64 ``(src, dst)`` columns."""
+    src = key // key.dtype.type(n)
+    dst = key - src * key.dtype.type(n)
+    return src.astype(np.int64), dst.astype(np.int64)
+
+
 def two_hop_pair_counts(
     edges: CSR,
     nodes: CSR,
@@ -310,60 +399,42 @@ def two_hop_pair_counts(
     For every hyperedge *e* in ``hyperedge_ids``, walks e → member
     hypernode → co-incident hyperedge *f* and counts how often each ``(e,
     f)`` pair appears — which is exactly ``|e ∩ f|``.  This is the hashmap
-    algorithm's counting step, done with one ``np.unique`` over packed keys
-    instead of a per-edge hash table.
+    algorithm's counting step, done with one in-place sort of packed
+    ``e·n + f`` keys (``uint32`` when ``n² ≤ 2³²``) and one run-length
+    pass instead of a per-edge hash table.
 
-    Returns ``(src, dst, overlap, work)`` where ``work`` is the number of
-    two-hop traversals performed (the cost the paper's kernels are bound
-    by).  ``upper_only`` keeps only ``f > e`` pairs (line 10's ``i < j``).
-
-    Under ``upper_only`` a member hypernode of degree 1 can only
-    produce the self-candidate ``e`` itself, which the ``f > e`` filter
-    always discards — so those members are pruned *before* the hop-2
-    gather/repeat rather than materializing pairs destined for the
-    filter.  (Micro-bench, rand1 full frontier: 1.06x; degree-1-heavy
-    powerlaw tails: 1.3–1.6x — the saved work is exactly the count of
-    degree-1 incidences.)  ``upper_only=False`` callers keep the full
-    expansion: the diagonal self-pairs they rely on (`s_traversal`)
-    come from precisely those members.
+    Returns ``(src, dst, overlap, work)``, sorted by ``(src, dst)``, where
+    ``work`` is the number of two-hop traversals the paper's kernel
+    performs (``members + Σ deg(v)``; see :func:`_two_hop_slices`).
+    ``upper_only`` keeps only ``f > e`` pairs (line 10's ``i < j``), and
+    applies it *during* the gather: each member's hop-2 slice starts
+    after e's slot in its sorted row, so the discarded half is never
+    materialised.  That needs ``nodes.has_sorted_rows``; an unsorted node
+    CSR raises ``ValueError``.  ``upper_only=False`` walks whole rows,
+    diagonal self-pairs included (`s_traversal` relies on them).
     """
     hyperedge_ids = np.asarray(hyperedge_ids, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
     if hyperedge_ids.size == 0:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, 0
-    # hop 1: e -> its member hypernodes
-    starts = edges.indptr[hyperedge_ids]
-    sizes = edges.indptr[hyperedge_ids + 1] - starts
     from repro.graph.traversal import multi_slice
 
-    members = multi_slice(edges.indices, starts, sizes)
-    # hop 2: member -> all hyperedges incident on it
-    m_starts = nodes.indptr[members]
-    m_sizes = nodes.indptr[members + 1] - m_starts
-    if upper_only:
-        # degree-1 members only yield the self-candidate: skip them
-        m_sizes = np.where(m_sizes > 1, m_sizes, 0)
-    cand = multi_slice(nodes.indices, m_starts, m_sizes)
-    # source-edge labels for each candidate, fused into ONE repeat: the
-    # member-level intermediate (repeat ids by sizes, then again by
-    # m_sizes) is equivalent to repeating ids by the per-edge candidate
-    # totals — one pass over |ids| segments instead of two over |members|
-    m_cum = np.concatenate((np.zeros(1, np.int64), np.cumsum(m_sizes)))
-    bounds = np.concatenate((np.zeros(1, np.int64), np.cumsum(sizes)))
-    per_edge = m_cum[bounds[1:]] - m_cum[bounds[:-1]]
-    e_for_cand = np.repeat(hyperedge_ids, per_edge)
-    work = int(cand.size + members.size)
-    if upper_only:
-        keep = cand > e_for_cand
-        cand, e_for_cand = cand[keep], e_for_cand[keep]
+    _, _, e_for_member, lo, m_sizes, work = _two_hop_slices(
+        edges, nodes, hyperedge_ids, upper_only
+    )
+    cand = multi_slice(nodes.indices, lo, m_sizes)
     if cand.size == 0:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, work
     n = edges.num_vertices()
-    key = e_for_cand * n + cand
-    uniq, counts = np.unique(key, return_counts=True)
-    src, dst = np.divmod(uniq, n)
-    return src, dst, counts.astype(np.int64), work
+    key = _pair_keys(e_for_member, m_sizes, cand, n)
+    key.sort()
+    head = np.empty(key.size, dtype=bool)
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    counts = np.diff(first, append=key.size)
+    src, dst = _split_keys(key[first], n)
+    return src, dst, counts, work
 
 
 def two_hop_pair_weighted(
@@ -379,45 +450,39 @@ def two_hop_pair_weighted(
     the entries of the weighted ``BᵗB`` product — useful when incidences
     carry intensities (e.g. author contribution shares).  Requires both
     incidence CSRs to be weighted (as ``BiAdjacency.from_biedgelist``
-    produces); raises ``ValueError`` otherwise.
+    produces); raises ``ValueError`` otherwise.  It walks the same
+    slices, so candidates arrive e-major then by ascending member, and
+    each pair's products are summed in that order.
 
     Returns ``(src, dst, count, weighted)``.
     """
     if edges.weights is None or nodes.weights is None:
         raise ValueError("weighted overlap requires weighted incidences")
     hyperedge_ids = np.asarray(hyperedge_ids, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
     if hyperedge_ids.size == 0:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, np.empty(0, dtype=np.float64)
     from repro.graph.traversal import multi_slice
 
-    starts = edges.indptr[hyperedge_ids]
-    sizes = edges.indptr[hyperedge_ids + 1] - starts
-    members = multi_slice(edges.indices, starts, sizes)
-    w_first = multi_slice(edges.weights, starts, sizes)
-    e_for_member = np.repeat(hyperedge_ids, sizes)
-    m_starts = nodes.indptr[members]
-    m_sizes = nodes.indptr[members + 1] - m_starts
-    if upper_only:
-        # as in two_hop_pair_counts: degree-1 members only self-pair
-        m_sizes = np.where(m_sizes > 1, m_sizes, 0)
-    cand = multi_slice(nodes.indices, m_starts, m_sizes)
-    w_second = multi_slice(nodes.weights, m_starts, m_sizes)
-    e_for_cand = np.repeat(e_for_member, m_sizes)
-    w_prod = np.repeat(w_first, m_sizes) * w_second
-    if upper_only:
-        keep = cand > e_for_cand
-        cand, e_for_cand, w_prod = cand[keep], e_for_cand[keep], w_prod[keep]
+    starts, sizes, e_for_member, lo, m_sizes, _ = _two_hop_slices(
+        edges, nodes, hyperedge_ids, upper_only
+    )
+    cand = multi_slice(nodes.indices, lo, m_sizes)
     if cand.size == 0:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, np.empty(0, dtype=np.float64)
+    w_first = multi_slice(edges.weights, starts, sizes)
+    w_prod = np.repeat(w_first, m_sizes) * multi_slice(
+        nodes.weights, lo, m_sizes
+    )
     n = edges.num_vertices()
-    key = e_for_cand * n + cand
     uniq, inverse, counts = np.unique(
-        key, return_inverse=True, return_counts=True
+        _pair_keys(e_for_member, m_sizes, cand, n),
+        return_inverse=True,
+        return_counts=True,
     )
     weighted = np.bincount(inverse, weights=w_prod, minlength=uniq.size)
-    return uniq // n, uniq % n, counts.astype(np.int64), weighted
+    src, dst = _split_keys(uniq, n)
+    return src, dst, counts.astype(np.int64), weighted
 
 
 def linegraph_csr(el: EdgeList) -> CSR:

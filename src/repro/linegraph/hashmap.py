@@ -9,7 +9,9 @@ count reaches *s*.  Degree-based pruning skips hyperedges with fewer than
 The Python kernel replaces the per-edge hash map with one vectorized
 multiplicity count over the chunk's packed two-hop keys
 (:func:`~repro.linegraph.common.two_hop_pair_counts`) — the same
-arithmetic, one ``np.unique`` instead of millions of hash probes.  The
+arithmetic, one sort of packed keys instead of millions of hash probes,
+and the ``f > e`` test applied while gathering: each member's row is
+read only after e's own slot.  The
 body lives in :class:`~repro.linegraph.kernels.HashmapCountKernel`, a
 picklable pure kernel, so the same construction runs unchanged on the
 simulated, threaded, and process backends.

@@ -13,7 +13,7 @@ backends:
   attaches the shared blocks zero-copy.
 
 Every kernel is **pure**: it only reads its inputs and returns freshly
-allocated arrays (the ``np.unique``/``bincount`` outputs), which is what
+allocated arrays (the sorted-key counts and ``bincount`` outputs), which is what
 lets :meth:`~repro.parallel.runtime.ParallelRuntime.parallel_for` route
 it to a real pool with ``pure=True``.  Candidate-pair statistics that the
 builders used to accumulate in closed-over lists now travel inside the
