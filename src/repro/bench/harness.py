@@ -26,12 +26,7 @@ from repro.algorithms.hyperbfs import hyperbfs_direction_optimizing
 from repro.algorithms.hypercc import hypercc
 from repro.baselines.hygra import hygra_bfs, hygra_cc
 from repro.io import datasets
-from repro.linegraph import (
-    slinegraph_hashmap,
-    slinegraph_intersection,
-    slinegraph_queue_hashmap,
-    slinegraph_queue_intersection,
-)
+from repro.linegraph import KERNEL_NAMES, PRESETS, to_two_graph
 from repro.parallel.runtime import ParallelRuntime
 from repro.structures.adjoin import AdjoinGraph
 from repro.structures.biadjacency import BiAdjacency
@@ -219,13 +214,13 @@ def strong_scaling_construction(
     h, _ = _reps(dataset)
     out: list[ScalingSeries] = []
     for alg in algorithms:
-        fn = _FIG9_ALGOS[alg]
+        preset = _FIG9_ALGOS[alg]
         series = ScalingSeries(algorithm=alg, dataset=dataset)
         base: float | None = None
         for t in thread_counts:
             with nwhy_runtime(t, backend=backend, workers=workers) as rt:
                 rt.new_run()
-                fn(h, s, runtime=rt)
+                to_two_graph(h, s, preset, runtime=rt)
                 span = rt.makespan
             if base is None:
                 base = span
@@ -248,11 +243,12 @@ class Fig9Row:
     best_config: str  # e.g. 'cyclic/desc'
 
 
+#: Fig. 9's bars: display name -> :data:`~repro.linegraph.PRESETS` row
 _FIG9_ALGOS = {
-    "Hashmap": slinegraph_hashmap,
-    "Intersection": slinegraph_intersection,
-    "Alg1 (queue hashmap)": slinegraph_queue_hashmap,
-    "Alg2 (queue intersect)": slinegraph_queue_intersection,
+    "Hashmap": "hashmap",
+    "Intersection": "intersection",
+    "Alg1 (queue hashmap)": "queue_hashmap",
+    "Alg2 (queue intersect)": "queue_intersection",
 }
 
 
@@ -282,14 +278,10 @@ def fig9_slinegraph(
         if order in relabels:
             variants[order], _perm = relabel_hyperedges(h, order)
     rows: list[tuple[str, float, str]] = []
-    for alg_name, fn in _FIG9_ALGOS.items():
-        kw: dict = {}
-        if kernel is not None:
-            kw = {"kernel": kernel}
-            if fn is slinegraph_queue_intersection and kernel not in (
-                "auto", "intersection"
-            ):
-                kw = {}  # its pair queue *is* the intersection strategy
+    for alg_name, preset in _FIG9_ALGOS.items():
+        # a preset a known kernel does not apply to keeps its own
+        # (queue_intersection: its pair queue *is* the strategy)
+        own = kernel in KERNEL_NAMES and kernel not in PRESETS[preset].kernels
         best = float("inf")
         best_cfg = ""
         for part in partitioners:
@@ -302,7 +294,10 @@ def fig9_slinegraph(
                     workers=workers,
                 ) as rt:
                     rt.new_run()
-                    fn(variants[rel], s, runtime=rt, **kw)
+                    to_two_graph(
+                        variants[rel], s, preset, runtime=rt,
+                        kernel=None if own else kernel,
+                    )
                     if rt.makespan < best:
                         best = rt.makespan
                         best_cfg = f"{part}/{rel}"

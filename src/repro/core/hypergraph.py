@@ -14,7 +14,6 @@ access away.
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from repro.algorithms.adjoincc import adjoincc
 from repro.algorithms.hyperbfs import hyperbfs
 from repro.algorithms.hypercc import hypercc
 from repro.algorithms.toplex import toplexes as _toplexes
-from repro.linegraph import ALGORITHMS, slinegraph_ensemble, to_two_graph
+from repro.linegraph import ALGORITHMS, build_slinegraph, slinegraph_ensemble
 from repro.parallel.runtime import ParallelRuntime
 from repro.structures.adjoin import AdjoinGraph
 from repro.structures.biadjacency import BiAdjacency
@@ -553,7 +552,7 @@ class NWHypergraph:
         return best
 
     # -- approximations -----------------------------------------------------------------------------------
-    def s_linegraph(  # repro: noqa-R005 — edges= is the deprecation shim itself (warns, tested)
+    def s_linegraph(
         self,
         s: int = 1,
         over_edges: bool = True,
@@ -562,19 +561,16 @@ class NWHypergraph:
         weighted: bool = False,
         tracer=None,
         metrics=None,
-        *,
-        edges: bool | None = None,
     ) -> SLineGraph:
         """Build the s-line graph (``over_edges=True``) or s-clique graph.
 
         ``over_edges=False`` computes over the hypernode side — the s-line
         graph of the dual, the paper's s-clique graph (clique expansion at
-        s=1).  The kwarg matches :attr:`SLineGraph.over_edges`; the old
-        spelling ``edges=`` still works but emits a
-        :class:`DeprecationWarning`.  ``weighted=True`` (requires incidence
-        weights and the ``hashmap`` or ``matrix`` algorithm) emits weighted
-        overlaps ``Σ w(e,v)·w(f,v)`` as edge weights; the ``s`` threshold
-        stays on set overlap.  ``tracer``/``metrics`` (:mod:`repro.obs`)
+        s=1).  The kwarg matches :attr:`SLineGraph.over_edges`.
+        ``weighted=True`` (requires incidence weights and the ``hashmap``
+        or ``matrix`` algorithm) emits weighted overlaps
+        ``Σ w(e,v)·w(f,v)`` as edge weights; the ``s`` threshold stays on
+        set overlap.  ``tracer``/``metrics`` (:mod:`repro.obs`)
         are forwarded to the construction algorithm; no-op when ``None``.
 
         Repeated calls with the same ``(s, over_edges, algorithm,
@@ -593,13 +589,6 @@ class NWHypergraph:
         work happened).  Use :meth:`invalidate` to drop everything
         memoized.
         """
-        if edges is not None:
-            warnings.warn(
-                "s_linegraph(edges=...) is deprecated; use over_edges=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            over_edges = edges
         memo_key = (int(s), bool(over_edges), algorithm, bool(weighted))
         if runtime is None and memo_key in self._slg_memo:
             return self._slg_memo[memo_key]
@@ -609,30 +598,14 @@ class NWHypergraph:
             self._slg_memo[memo_key] = lg
             return lg
         h = self.biadjacency if over_edges else self.biadjacency.dual()
-        if weighted:
-            if self.weights is None:
-                raise ValueError(
-                    "weighted s-line graphs require incidence weights"
-                )
-            from repro.linegraph import slinegraph_hashmap, slinegraph_matrix
-
-            if algorithm == "hashmap":
-                el = slinegraph_hashmap(
-                    h, s, runtime=runtime, weighted=True,
-                    tracer=tracer, metrics=metrics,
-                )
-            elif algorithm == "matrix":
-                el = slinegraph_matrix(h, s, weighted=True)
-            else:
-                raise ValueError(
-                    "weighted construction supports algorithm='hashmap' "
-                    f"or 'matrix', not {algorithm!r}"
-                )
-        else:
-            el = to_two_graph(
-                h, s, algorithm=algorithm, runtime=runtime,
-                tracer=tracer, metrics=metrics,
+        if weighted and self.weights is None:
+            raise ValueError(
+                "weighted s-line graphs require incidence weights"
             )
+        el = build_slinegraph(
+            h, s, algorithm, runtime=runtime, weighted=weighted,
+            tracer=tracer, metrics=metrics,
+        )
         lg = SLineGraph(el, s=s, over_edges=over_edges)
         if runtime is None:
             self._slg_memo[memo_key] = lg
@@ -658,28 +631,19 @@ class NWHypergraph:
                 best = lg
         return best
 
-    def s_linegraphs(  # repro: noqa-R005 — edges= is the deprecation shim itself (warns, tested)
+    def s_linegraphs(
         self,
         s_values: Sequence[int],
         over_edges: bool = True,
         runtime: ParallelRuntime | None = None,
         tracer=None,
         metrics=None,
-        *,
-        edges: bool | None = None,
     ) -> dict[int, SLineGraph]:
         """Ensemble construction: ``{s: SLineGraph}`` in one counting pass.
 
         Accepts the same ``over_edges``/``tracer``/``metrics`` trio as
-        :meth:`s_linegraph` (and the same deprecated ``edges=`` spelling).
+        :meth:`s_linegraph`.
         """
-        if edges is not None:
-            warnings.warn(
-                "s_linegraphs(edges=...) is deprecated; use over_edges=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            over_edges = edges
         h = self.biadjacency if over_edges else self.biadjacency.dual()
         ensemble = slinegraph_ensemble(
             h, list(s_values), runtime=runtime, tracer=tracer, metrics=metrics

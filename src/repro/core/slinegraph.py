@@ -2,7 +2,7 @@
 
 The object returned by ``NWHypergraph.s_linegraph`` (Listing 5).  Vertices
 are the *original hyperedge IDs* (or hypernode IDs when built with
-``edges=False``); an edge joins two IDs whose hyperedges share at least
+``over_edges=False``); an edge joins two IDs whose hyperedges share at least
 ``s`` hypernodes.  All metrics delegate to the graph substrate
 (:mod:`repro.graph`) on the symmetrized CSR — the "use any graph algorithm
 on the approximation" workflow the paper advocates.

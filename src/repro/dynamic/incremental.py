@@ -231,18 +231,14 @@ def patch_with_builder(
     rows touching a dirty ID are taken — the clean–clean rows it also
     covers are already present, unchanged, in ``old_el``.
     """
+    from repro.linegraph import PRESETS, to_two_graph
     from repro.linegraph.common import resolve_incidence
-    from repro.linegraph.queue_hashmap import slinegraph_queue_hashmap
-    from repro.linegraph.queue_intersect import slinegraph_queue_intersection
 
-    builders = {
-        "queue_hashmap": slinegraph_queue_hashmap,
-        "queue_intersection": slinegraph_queue_intersection,
-    }
-    if algorithm not in builders:
-        raise ValueError(
-            f"patching supports {sorted(builders)}, not {algorithm!r}"
-        )
+    queued = sorted(
+        name for name, p in PRESETS.items() if p.shape in ("queue", "pairs")
+    )
+    if algorithm not in queued:
+        raise ValueError(f"patching supports {queued}, not {algorithm!r}")
     if old_el.weights is None:
         raise ValueError(
             "patching requires overlap counts as edge weights on the old "
@@ -252,8 +248,8 @@ def patch_with_builder(
     edges, nodes, n_e, _ = resolve_incidence(h)
     adapter = _csr_adapter(edges, nodes, n_e)
     frontier = delta_frontier(adapter, dirty)
-    delta = builders[algorithm](
-        h, s, runtime=runtime, queue_ids=frontier,
+    delta = to_two_graph(
+        h, s, algorithm, runtime=runtime, queue_ids=frontier,
         tracer=tracer, metrics=metrics,
     )
     touched = ~_clean_mask(delta, dirty, n_e)

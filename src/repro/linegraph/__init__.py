@@ -1,17 +1,19 @@
 """s-line graph construction algorithms (paper §III-C.3).
 
-Six constructions producing identical canonical edge lists: naive
-all-pairs, set-intersection [17], hashmap counting [18], the paper's two
-new queue-based algorithms (Algorithms 1–2), and a scipy sparse-product
-oracle; plus the ensemble builder and clique-expansion/s-clique graphs.
+One build pipeline (:func:`~repro.linegraph.build.build_slinegraph`)
+and a table of presets (:data:`PRESETS`) producing identical canonical
+edge lists: naive all-pairs, set-intersection [17], hashmap counting
+[18] (also on a thread pool), the paper's two new queue-based
+algorithms (Algorithms 1–2), the ensemble, and a scipy sparse-product
+oracle; plus clique-expansion/s-clique graphs.  The counting bodies
+are in :mod:`~repro.linegraph.dispatch` and
+:mod:`~repro.linegraph.kernels`.
 
-``to_two_graph`` is the paper-styled dispatch entry point (Listing 2's
+``to_two_graph`` is the paper-styled entry point (Listing 2's
 ``to_two_graph_hashmap_cyclic`` family).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.parallel.runtime import ParallelRuntime
 
@@ -31,99 +33,21 @@ from .dispatch import (
     DispatchPolicy,
     make_count_kernel,
 )
-from .ensemble import slinegraph_ensemble
-from .hashmap import slinegraph_hashmap
-from .intersection import slinegraph_intersection
-from .naive import slinegraph_naive
-from .queue_hashmap import slinegraph_queue_hashmap
-from .queue_intersect import slinegraph_queue_intersection
-from .threaded import slinegraph_threaded
+from .build import (
+    ALGORITHMS,
+    PRESETS,
+    Preset,
+    build_slinegraph,
+    slinegraph_ensemble,
+    slinegraph_hashmap,
+    slinegraph_intersection,
+    slinegraph_naive,
+    slinegraph_queue_hashmap,
+    slinegraph_queue_intersection,
+    slinegraph_threaded,
+    to_two_graph,
+)
 from .vectorized import slinegraph_matrix
-
-ALGORITHMS = {
-    "naive": slinegraph_naive,
-    "intersection": slinegraph_intersection,
-    "hashmap": slinegraph_hashmap,
-    "queue_hashmap": slinegraph_queue_hashmap,
-    "queue_intersection": slinegraph_queue_intersection,
-    "matrix": slinegraph_matrix,
-    "threaded": slinegraph_threaded,
-}
-
-
-def to_two_graph(
-    h,
-    s: int = 1,
-    algorithm: str = "hashmap",
-    runtime: ParallelRuntime | None = None,
-    queue_ids: np.ndarray | None = None,
-    tracer=None,
-    metrics=None,
-    backend=None,
-    workers: int | None = None,
-    kernel: str | None = None,
-):
-    """Construct the s-line ("two-graph") edge list of a hypergraph.
-
-    Paper-style dispatcher over :data:`ALGORITHMS`.  ``'auto'`` picks the
-    configuration the Fig. 9 measurements favor: hashmap counting on the
-    bipartite representation, its queue-based variant (Algorithm 1) for
-    adjoin inputs (the non-queue loops assume a contiguous hyperedge
-    range).  The queue-based algorithms additionally accept ``queue_ids``;
-    the matrix oracle ignores ``runtime`` (one sparse product).
-
-    ``tracer``/``metrics`` (:mod:`repro.obs`, no-op when ``None``) reach
-    every instrumented algorithm; the ``matrix`` oracle is uninstrumented
-    and ignores them.  ``backend``/``workers`` select a real execution
-    backend (``'threaded'``/``'process'``) when no ``runtime`` is passed —
-    results are bit-identical either way (see docs/PARALLEL.md).
-
-    ``kernel`` selects the counting body (one of
-    :data:`~repro.linegraph.dispatch.KERNEL_NAMES`; ``None`` → each
-    builder's default, which for the hashmap-family builders is the
-    degree-bucketed adaptive dispatcher — see docs/KERNELS.md).  The
-    ``naive`` and ``matrix`` oracles ignore it.
-    """
-    if algorithm == "auto":
-        from repro.structures.adjoin import AdjoinGraph
-
-        algorithm = (
-            "queue_hashmap" if isinstance(h, AdjoinGraph) else "hashmap"
-        )
-    try:
-        fn = ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from "
-            f"{sorted(ALGORITHMS) + ['auto']}"
-        ) from None
-    be_kwargs = {}
-    if backend is not None or workers is not None:
-        be_kwargs = {"backend": backend, "workers": workers}
-    if kernel is not None:
-        if algorithm in ("matrix", "naive"):
-            raise ValueError(
-                f"algorithm {algorithm!r} is an oracle; kernel= does not apply"
-            )
-        be_kwargs["kernel"] = kernel
-    if algorithm in ("queue_hashmap", "queue_intersection"):
-        return fn(
-            h, s, runtime=runtime, queue_ids=queue_ids,
-            tracer=tracer, metrics=metrics, **be_kwargs,
-        )
-    if algorithm == "matrix":
-        return fn(h, s)
-    if algorithm == "threaded":
-        # the threaded builder *is* a backend choice; workers maps to its
-        # pool size and an explicit runtime overrides everything
-        return fn(
-            h, s, runtime=runtime, num_workers=workers,
-            tracer=tracer, metrics=metrics,
-            **({"kernel": kernel} if kernel is not None else {}),
-        )
-    return fn(
-        h, s, runtime=runtime, tracer=tracer, metrics=metrics, **be_kwargs
-    )
 
 
 def to_two_graph_hashmap_cyclic(
@@ -176,6 +100,9 @@ __all__ = [
     "BitsetOverlapKernel",
     "DispatchPolicy",
     "KERNEL_NAMES",
+    "PRESETS",
+    "Preset",
+    "build_slinegraph",
     "make_count_kernel",
     "to_two_graph_hashmap_blocked",
     "to_two_graph_hashmap_cyclic",

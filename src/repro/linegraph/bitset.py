@@ -103,8 +103,8 @@ class BitsetOverlapKernel:
     ``f > e`` partners (the builders' triangle convention); ``False``
     keeps every ``f ≠ e`` (the shard kernels' row-ownership convention).
 
-    Same result tuple as :class:`~repro.linegraph.kernels.
-    HashmapCountKernel` — ``(src, dst, overlap, stats)`` — and exact
+    Same result tuple as :class:`~repro.linegraph.dispatch.AdaptiveKernel`
+    — ``(src, dst, overlap, stats)`` — and exact
     overlap counts, so outputs are bit-identical after
     :func:`~repro.linegraph.common.finalize_edges`.
     """

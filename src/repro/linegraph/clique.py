@@ -13,7 +13,7 @@ from repro.parallel.runtime import ParallelRuntime
 from repro.structures.biadjacency import BiAdjacency
 from repro.structures.edgelist import EdgeList
 
-from .hashmap import slinegraph_hashmap
+from .build import slinegraph_hashmap
 
 __all__ = ["clique_expansion", "scliquegraph"]
 

@@ -50,7 +50,9 @@ def resolve_runtime(runtime, backend=None, workers=None):
     from repro.parallel.backends import default_workers
     from repro.parallel.runtime import ParallelRuntime
 
-    w = default_workers() if workers is None else max(1, int(workers))
+    w = default_workers() if workers is None else int(workers)
+    if w <= 0:
+        raise ValueError("workers must be positive")
     return (
         ParallelRuntime(
             num_threads=w,

@@ -249,12 +249,14 @@ def adaptive_rows(
     """Bucket a chunk and run the chosen body per bucket.
 
     Returns the uniform ``(src, dst, overlap, stats, work)`` tuple; the
-    stats dict gains one entry per family used plus a ``"dispatch"``
-    entry whose ``tasks`` counts buckets (so the bucket table is
+    stats dict gains one entry per family used plus, unless ``force``
+    pins one family (no bucketing then runs), a ``"dispatch"`` entry
+    whose ``tasks`` counts buckets (so the bucket table is
     reconstructible from counters alone).
     """
     chunk = np.asarray(chunk, dtype=np.int64)
-    if force is not None and force != "auto":
+    forced = force is not None and force != "auto"
+    if forced:
         sizes = edges.indptr[chunk + 1] - edges.indptr[chunk]
         buckets = [(force, chunk[sizes >= s])]
     else:
@@ -263,10 +265,9 @@ def adaptive_rows(
     out_dst: list[np.ndarray] = []
     out_cnt: list[np.ndarray] = []
     stats_parts: list[dict] = []
-    work = float(chunk.size)
+    # bucketing reads every row of the chunk once; a forced family skips it
+    work = 0.0 if forced else float(chunk.size)
     for name, ids in buckets:
-        if ids.size == 0:
-            continue
         if name == "bitset":
             src, dst, cnt, stats, w = bitset_rows(
                 edges, ids, s, upper_only=upper_only
@@ -293,20 +294,21 @@ def adaptive_rows(
     dst = np.concatenate(out_dst) if out_dst else empty
     cnt = np.concatenate(out_cnt) if out_cnt else empty
     stats = merge_kernel_stats(stats_parts)
-    stats.update(
-        kernel_stats("dispatch", rows=int(chunk.size), tasks=len(buckets))
-    )
+    if not forced:
+        stats.update(kernel_stats(
+            "dispatch", rows=int(chunk.size), tasks=len(buckets)
+        ))
     return src, dst, cnt, stats, work
 
 
 class AdaptiveKernel:
     """Picklable chunk body running the degree-bucketed dispatch.
 
-    Drop-in for :class:`~repro.linegraph.kernels.HashmapCountKernel`
-    (same ``TaskResult((src, dst, overlap, stats), work)`` shape, same
-    exact overlaps) on every execution backend.  ``force`` pins one
-    family for the whole chunk — how ``kernel="bitset"`` etc. is served
-    in contexts that need non-default ``upper_only``.
+    Returns ``TaskResult((src, dst, overlap, stats), work)`` — the shape
+    of every construction kernel — on every execution backend.
+    ``force`` pins one family for the whole chunk — how
+    ``kernel="hashmap"``/``"intersection"``/``"naive"`` (and ``"bitset"``
+    with non-default ``upper_only``) are served.
     """
 
     __slots__ = ("edges", "nodes", "s", "upper_only", "policy", "force")
@@ -347,17 +349,18 @@ def make_count_kernel(
     nodes,
     s: int,
     weighted: bool = False,
-    degree_filter: bool = False,
     upper_only: bool = True,
     policy: DispatchPolicy = _DEFAULT_POLICY,
 ):
     """Build the counting body for one builder run.
 
     ``kernel`` is one of :data:`KERNEL_NAMES` (``None`` → ``"auto"``,
-    the dispatcher).  Weighted constructions always use the hashmap body
-    (the only family that accumulates the ``Σ w·w`` products).
+    the dispatcher); the unweighted bodies drop rows with fewer than
+    ``s`` members themselves (Alg. 1 line 6).  Weighted constructions
+    always use the hashmap body (the only family that accumulates the
+    ``Σ w·w`` products), which expects degree-pruned chunks.
     """
-    from .kernels import HashmapCountKernel
+    from .kernels import WeightedHashmapKernel
 
     name = kernel or "auto"
     if name not in KERNEL_NAMES:
@@ -369,9 +372,7 @@ def make_count_kernel(
             raise ValueError(
                 "weighted constructions require the hashmap kernel"
             )
-        return HashmapCountKernel(
-            edges, nodes, s, weighted=True, degree_filter=degree_filter
-        )
+        return WeightedHashmapKernel(edges, nodes, s)
     if name == "bitset" and upper_only:
         return BitsetOverlapKernel(edges, s)
     return AdaptiveKernel(

@@ -1,8 +1,14 @@
-"""Picklable construction kernels — one body per builder, backend-agnostic.
+"""Picklable construction kernels — the bodies the presets run.
 
-The s-line builders used to close over their incidence CSRs; a closure
-runs fine on the simulated loop and a thread pool but cannot cross a
-process boundary.  These module-level kernel classes hold their inputs as
+The counting bodies of the hashmap and intersection families live in
+:mod:`repro.linegraph.dispatch` (one body per family, selected per
+bucket or forced with ``kernel=``); this module holds the rest: the
+weighted hashmap body, Algorithm 2's pair-gather and pair-intersect
+phases, and the all-pairs naive oracle.
+
+The builders used to close over their incidence CSRs; a closure runs
+fine on the simulated loop and a thread pool but cannot cross a process
+boundary.  These module-level kernel classes hold their inputs as
 instance attributes instead, so one object serves all three execution
 backends:
 
@@ -13,12 +19,11 @@ backends:
   attaches the shared blocks zero-copy.
 
 Every kernel is **pure**: it only reads its inputs and returns freshly
-allocated arrays (the sorted-key counts and ``bincount`` outputs), which is what
-lets :meth:`~repro.parallel.runtime.ParallelRuntime.parallel_for` route
-it to a real pool with ``pure=True``.  Candidate-pair statistics that the
-builders used to accumulate in closed-over lists now travel inside the
-returned value — a list mutation would race under real threads and be
-silently lost under processes.
+allocated arrays, which is what lets
+:meth:`~repro.parallel.runtime.ParallelRuntime.parallel_for` route it to
+a real pool with ``pure=True``.  Candidate-pair statistics travel inside
+the returned value — a list mutation would race under real threads and
+be silently lost under processes.
 """
 
 from __future__ import annotations
@@ -37,11 +42,10 @@ from .common import (
 )
 
 __all__ = [
-    "HashmapCountKernel",
-    "IntersectionKernel",
     "NaivePairsKernel",
     "PairGatherKernel",
     "PairIntersectKernel",
+    "WeightedHashmapKernel",
 ]
 
 
@@ -50,61 +54,14 @@ def _row_sizes(csr, ids: np.ndarray) -> np.ndarray:
     return csr.indptr[ids + 1] - csr.indptr[ids]
 
 
-class HashmapCountKernel:
-    """Hashmap-counting body (hashmap, queue_hashmap, ensemble, threaded).
+class WeightedHashmapKernel:
+    """Hashmap counting that also sums the weighted overlaps.
 
-    Returns ``TaskResult((src, dst, weight, stats), work)`` where
-    ``stats`` is a :func:`~repro.linegraph.common.kernel_stats` dict —
-    candidates are the co-incident pairs examined before the ``s``
-    threshold, the statistic the builders' counters report.
+    Returns ``TaskResult((src, dst, weighted, stats), work)``: pairs are
+    kept on the set overlap ``|e ∩ f| >= s`` and carry
+    ``Σ_{v ∈ e∩f} w(e,v)·w(f,v)``.  ``stats`` is a
+    :func:`~repro.linegraph.common.kernel_stats` dict under ``hashmap``.
     """
-
-    __slots__ = ("edges", "nodes", "s", "weighted", "degree_filter")
-
-    def __init__(
-        self, edges, nodes, s: int,
-        weighted: bool = False, degree_filter: bool = False,
-    ) -> None:
-        self.edges = edges
-        self.nodes = nodes
-        self.s = int(s)
-        self.weighted = bool(weighted)
-        self.degree_filter = bool(degree_filter)
-
-    def __call__(self, chunk: np.ndarray) -> TaskResult:
-        with open_handles(self.edges, self.nodes) as (edges, nodes):
-            live = chunk
-            if self.degree_filter:  # Alg. 1 line 6
-                live = chunk[_row_sizes(edges, chunk) >= self.s]
-            if self.weighted:
-                src, dst, cnt, wgt = two_hop_pair_weighted(edges, nodes, live)
-                keep = cnt >= self.s
-                work = int(cnt.sum()) + chunk.size
-                stats = kernel_stats(
-                    "hashmap",
-                    rows=int(live.size),
-                    candidates=int(cnt.size),
-                    emitted=int(keep.sum()),
-                )
-                return TaskResult(
-                    (src[keep], dst[keep], wgt[keep], stats), float(work)
-                )
-            src, dst, cnt, work = two_hop_pair_counts(edges, nodes, live)
-            keep = cnt >= self.s
-            stats = kernel_stats(
-                "hashmap",
-                rows=int(live.size),
-                candidates=int(cnt.size),
-                emitted=int(keep.sum()),
-            )
-            return TaskResult(
-                (src[keep], dst[keep], cnt[keep], stats),
-                float(work + chunk.size),
-            )
-
-
-class IntersectionKernel:
-    """Candidate gathering + per-pair set intersection (one-phase [17])."""
 
     __slots__ = ("edges", "nodes", "s")
 
@@ -115,36 +72,17 @@ class IntersectionKernel:
 
     def __call__(self, chunk: np.ndarray) -> TaskResult:
         with open_handles(self.edges, self.nodes) as (edges, nodes):
-            # candidate pairs via two-hop walk (counts discarded: the
-            # heuristic algorithm re-derives overlap by explicit
-            # intersection)
-            src_c, dst_c, _, walk_work = two_hop_pair_counts(
-                edges, nodes, chunk
-            )
-            candidates = int(src_c.size)
-            keep = _row_sizes(edges, dst_c) >= self.s
-            src_c, dst_c = src_c[keep], dst_c[keep]
-            pairs = np.stack([src_c, dst_c], axis=1)
-            counts = batch_intersect_counts(edges, pairs)
-            work = walk_work + (
-                int(
-                    np.minimum(
-                        _row_sizes(edges, src_c), _row_sizes(edges, dst_c)
-                    ).sum()
-                )
-                if src_c.size
-                else 0
-            )
-            hit = counts >= self.s
+            src, dst, cnt, wgt = two_hop_pair_weighted(edges, nodes, chunk)
+            keep = cnt >= self.s
             stats = kernel_stats(
-                "intersection",
+                "hashmap",
                 rows=int(chunk.size),
-                candidates=candidates,
-                emitted=int(hit.sum()),
+                candidates=int(cnt.size),
+                emitted=int(keep.sum()),
             )
             return TaskResult(
-                (src_c[hit], dst_c[hit], counts[hit], stats),
-                float(work + chunk.size),
+                (src[keep], dst[keep], wgt[keep], stats),
+                float(int(cnt.sum()) + chunk.size),
             )
 
 

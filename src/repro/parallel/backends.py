@@ -9,8 +9,7 @@ The :class:`~repro.parallel.runtime.ParallelRuntime` models *scheduling*
   paper-scaling instrument.
 * :class:`ThreadedBackend` — a persistent ``ThreadPoolExecutor``.  The
   hot kernels are NumPy-vectorized and release the GIL, so pure bodies
-  overlap on real cores (the generalization of the old
-  ``linegraph/threaded.py`` one-off).
+  overlap on real cores (the ``threaded`` s-line preset pins it).
 * :class:`ProcessBackend` — a persistent process pool.  Bodies must be
   picklable (the builder kernels of :mod:`repro.linegraph.kernels` are);
   large read-only inputs travel as :mod:`repro.parallel.shared` handles,

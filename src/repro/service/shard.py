@@ -64,7 +64,7 @@ class ShardPairsKernel:
     """Per-shard counting body (picklable, pure, zero-copy).
 
     ``chunk`` is one shard's array of row IDs.  Unlike the builders'
-    :class:`~repro.linegraph.kernels.HashmapCountKernel` this walks with
+    counting bodies (the ``f > e`` triangle) this walks with
     ``upper_only=False``: the shard owns its rows, not the upper
     triangle, so it must emit *every* partner ``f`` of each owned ``e``
     (self-pairs dropped).  ``kernel`` picks the counting strategy per

@@ -116,7 +116,7 @@ class TestStockBuildersStaySilent:
         runtime = ParallelRuntime(num_threads=4, grain=2).checked()
         h = paper_biadjacency()
         if name == "ensemble":
-            from repro.linegraph.ensemble import slinegraph_ensemble
+            from repro.linegraph import slinegraph_ensemble
 
             slinegraph_ensemble(h, [1, 2], runtime=runtime)
         else:

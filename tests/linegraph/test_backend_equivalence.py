@@ -110,7 +110,7 @@ def test_compressed_csr_transport_bit_identical(pools, el, s):
     process); the results must not care.
     """
     from repro.linegraph.common import finalize_edges
-    from repro.linegraph.kernels import HashmapCountKernel
+    from repro.linegraph.dispatch import make_count_kernel
 
     h = BiAdjacency.from_biedgelist(el)
     base = to_two_graph(h, s, "hashmap")
@@ -123,7 +123,7 @@ def test_compressed_csr_transport_bit_identical(pools, el, s):
         ) as rt:
             rt.new_run()
             with rt.share(ce, cn) as (se, sn):
-                body = HashmapCountKernel(se, sn, s)
+                body = make_count_kernel("hashmap", se, sn, s)
                 parts = rt.parallel_for(
                     rt.partition(eligible), body, pure=True
                 )

@@ -157,21 +157,6 @@ class TestTraversalNeutrality:
 
 
 class TestDeprecationShim:
-    def test_s_linegraph_edges_kwarg_warns_but_works(self):
-        bel = random_hypergraph(seed=2, num_edges=20, num_nodes=24)
-        hg = NWHypergraph(bel.part0, bel.part1)
-        with pytest.warns(DeprecationWarning, match="edges="):
-            old = hg.s_linegraph(2, edges=True)
-        new = NWHypergraph(bel.part0, bel.part1).s_linegraph(2, over_edges=True)
-        np.testing.assert_array_equal(old.edgelist.src, new.edgelist.src)
-        np.testing.assert_array_equal(old.edgelist.dst, new.edgelist.dst)
-
-    def test_s_linegraphs_edges_kwarg_warns(self):
-        bel = random_hypergraph(seed=2, num_edges=20, num_nodes=24)
-        hg = NWHypergraph(bel.part0, bel.part1)
-        with pytest.warns(DeprecationWarning):
-            hg.s_linegraphs([1, 2], edges=False)
-
     def test_over_edges_does_not_warn(self):
         bel = random_hypergraph(seed=2, num_edges=20, num_nodes=24)
         hg = NWHypergraph(bel.part0, bel.part1)
