@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.graph.betweenness import betweenness_centrality
 from repro.graph.bfs import bfs_bidirectional, bfs_top_down
-from repro.graph.cc import connected_components
+from repro.graph.cc import connected_components, group_components
 from repro.graph.kcore import core_number
 from repro.graph.mis import maximal_independent_set
 from repro.graph.pagerank import pagerank
@@ -94,21 +94,14 @@ class SLineGraph:
     ) -> list[np.ndarray]:
         """Connected components as arrays of hyperedge IDs.
 
-        Isolated vertices (no s-neighbors) are omitted unless
+        Members ascend and components are ordered by their smallest
+        member (:func:`~repro.graph.cc.group_components`).  Isolated
+        vertices (no s-neighbors) are omitted unless
         ``return_singletons`` — matching HyperNetX/nwhy semantics where a
         hyperedge with no s-overlaps is not an s-component.
         """
         labels = connected_components(self.graph, runtime=runtime)
-        comps: dict[int, list[int]] = {}
-        for v, lab in enumerate(labels.tolist()):
-            comps.setdefault(lab, []).append(v)
-        out = [
-            np.array(sorted(members), dtype=np.int64)
-            for members in comps.values()
-            if len(members) > 1 or return_singletons
-        ]
-        out.sort(key=lambda a: int(a[0]))
-        return out
+        return group_components(labels, return_singletons)
 
     def is_s_connected(self) -> bool:
         """True iff all non-isolated vertices form one component (and exist).

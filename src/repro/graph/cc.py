@@ -31,6 +31,7 @@ __all__ = [
     "cc_afforest",
     "connected_components",
     "compress_labels",
+    "group_components",
 ]
 
 
@@ -242,3 +243,34 @@ def compress_labels(labels: np.ndarray) -> np.ndarray:
     """Renumber arbitrary component labels to compact ``0..k-1`` (stable)."""
     _, compact = np.unique(labels, return_inverse=True)
     return compact.astype(np.int64)
+
+
+def group_components(
+    labels: np.ndarray, return_singletons: bool = False
+) -> list[np.ndarray]:
+    """Component labels → the components, as int64 arrays of vertex IDs.
+
+    The one shape every s-component answer takes: members ascend inside
+    each component, components are ordered by their smallest member, and
+    single-vertex components are dropped unless ``return_singletons``.
+    Any labeling works, canonical or not.  One stable ``argsort`` lays
+    each component's vertices out contiguously and in ascending order;
+    the components are the runs of equal labels.
+    """
+    labels = np.asarray(labels)
+    n = labels.size
+    if n == 0:
+        return []
+    order = np.argsort(labels, kind="stable").astype(np.int64, copy=False)
+    ranked = labels[order]
+    bounds = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [n]))
+    if not return_singletons:
+        keep = ends - starts > 1
+        starts, ends = starts[keep], ends[keep]
+    by_first = np.argsort(order[starts])
+    return [
+        order[a:b]
+        for a, b in zip(starts[by_first].tolist(), ends[by_first].tolist())
+    ]

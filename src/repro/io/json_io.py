@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -25,6 +26,10 @@ import numpy as np
 from repro.core.labeled import LabeledHypergraph
 
 __all__ = ["jsonify", "read_json", "write_json"]
+
+
+#: exact types passed through as they are (``np.float64`` subclasses float)
+_NATIVE = frozenset({str, int, bool, type(None)})
 
 
 def jsonify(obj: Any) -> Any:
@@ -38,17 +43,26 @@ def jsonify(obj: Any) -> Any:
 
     * NumPy scalars become Python scalars (non-finite floats become
       ``None``, since JSON has no ``inf``/``nan``);
-    * NumPy arrays become (nested) lists;
+    * NumPy arrays become (nested) lists in one ``tolist`` call — float
+      arrays find their non-finite entries in NumPy first, so those still
+      become ``None``; only object (and other non-numeric) arrays and 0-d
+      arrays are walked element by element;
     * dataclasses (``DatasetStats``, ``SMetricsReport``, ...) become dicts;
     * dict *keys* are converted too (then stringified by ``json.dumps``
       as usual) and containers are walked recursively.
     """
+    if type(obj) in _NATIVE:
+        return obj
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 0 or obj.dtype.kind not in "biuf":
+            return jsonify(obj.tolist())
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            obj = np.where(np.isfinite(obj), obj, None)
+        return obj.tolist()
     if isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if isinstance(obj, np.ndarray):
-        return jsonify(obj.tolist())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return jsonify(dataclasses.asdict(obj))
     if isinstance(obj, dict):
@@ -56,6 +70,7 @@ def jsonify(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     return obj
+
 
 _FORMAT = "repro-hypergraph"
 _VERSION = 1

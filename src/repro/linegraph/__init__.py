@@ -50,12 +50,25 @@ from .build import (
 from .vectorized import slinegraph_matrix
 
 
+def _listing2_hashmap(
+    partitioner, edge_side, node_side, degrees, s, num_threads, num_bins
+):
+    """Hashmap construction over two incidence CSRs on a ``partitioner``
+    runtime; ``degrees`` is carried by the CSR and kept for paper-API
+    parity, ``num_bins`` maps to the runtime's grain."""
+    from repro.structures.biadjacency import BiAdjacency
+
+    h = BiAdjacency(edge_side, node_side)
+    del degrees
+    grain = max(1, (num_bins or 4 * num_threads) // max(num_threads, 1))
+    rt = ParallelRuntime(
+        num_threads=num_threads, partitioner=partitioner, grain=grain
+    )
+    return slinegraph_hashmap(h, s, runtime=rt)
+
+
 def to_two_graph_hashmap_cyclic(
-    edge_side,
-    node_side,
-    degrees,
-    s: int,
-    num_threads: int,
+    edge_side, node_side, degrees, s: int, num_threads: int,
     num_bins: int | None = None,
 ):
     """Listing 2 parity: ``to_two_graph_hashmap_cyclic(hyperedges,
@@ -63,19 +76,11 @@ def to_two_graph_hashmap_cyclic(
 
     Builds a :class:`~repro.structures.biadjacency.BiAdjacency` view of the
     two incidence CSRs and runs the hashmap construction on a cyclic
-    work-stealing runtime.  ``degrees`` is accepted for signature parity
-    (the CSR already knows its degrees); ``num_bins`` maps to the runtime's
-    grain.
+    work-stealing runtime.
     """
-    from repro.structures.biadjacency import BiAdjacency
-
-    h = BiAdjacency(edge_side, node_side)
-    del degrees  # carried by the CSR; kept for paper-API parity
-    grain = max(1, (num_bins or 4 * num_threads) // max(num_threads, 1))
-    rt = ParallelRuntime(
-        num_threads=num_threads, partitioner="cyclic", grain=grain
+    return _listing2_hashmap(
+        "cyclic", edge_side, node_side, degrees, s, num_threads, num_bins
     )
-    return slinegraph_hashmap(h, s, runtime=rt)
 
 
 def to_two_graph_hashmap_blocked(
@@ -83,15 +88,9 @@ def to_two_graph_hashmap_blocked(
     num_bins: int | None = None,
 ):
     """Blocked-partitioning sibling of :func:`to_two_graph_hashmap_cyclic`."""
-    from repro.structures.biadjacency import BiAdjacency
-
-    h = BiAdjacency(edge_side, node_side)
-    del degrees
-    grain = max(1, (num_bins or 4 * num_threads) // max(num_threads, 1))
-    rt = ParallelRuntime(
-        num_threads=num_threads, partitioner="blocked", grain=grain
+    return _listing2_hashmap(
+        "blocked", edge_side, node_side, degrees, s, num_threads, num_bins
     )
-    return slinegraph_hashmap(h, s, runtime=rt)
 
 
 __all__ = [

@@ -13,7 +13,7 @@ from repro.parallel.runtime import ParallelRuntime
 from repro.structures.biadjacency import BiAdjacency
 from repro.structures.edgelist import EdgeList
 
-from .build import slinegraph_hashmap
+from .build import build_slinegraph
 
 __all__ = ["clique_expansion", "scliquegraph"]
 
@@ -22,33 +22,33 @@ def scliquegraph(
     h: BiAdjacency,
     s: int = 1,
     runtime: ParallelRuntime | None = None,
-    algorithm=None,
+    algorithm: str = "hashmap",
     tracer=None,
     metrics=None,
     backend=None,
     workers: int | None = None,
-) -> EdgeList:
+) -> EdgeList | dict[int, EdgeList]:
     """s-clique graph: hypernodes joined by ≥ s shared hyperedges.
 
     Implemented — exactly as the paper defines it — as the s-line graph of
-    the dual hypergraph.  ``algorithm`` may be any single-s construction
-    from this package (defaults to the hashmap algorithm); ``tracer``,
-    ``metrics``, and the ``backend``/``workers`` execution-backend spec
-    forward to it (see :mod:`repro.obs`, :mod:`repro.parallel.backends`).
+    the dual hypergraph, by
+    :func:`~repro.linegraph.build.build_slinegraph`: ``algorithm`` is any
+    :data:`~repro.linegraph.build.PRESETS` name (or ``auto``), and the
+    ensemble takes a sequence of ``s`` and returns ``{s: graph}``.
+    ``tracer``, ``metrics``, and the ``backend``/``workers`` execution-
+    backend spec forward to it (see :mod:`repro.obs`,
+    :mod:`repro.parallel.backends`).
     """
-    construct = algorithm if algorithm is not None else slinegraph_hashmap
-    kwargs = {}
-    if backend is not None or workers is not None:
-        kwargs = {"backend": backend, "workers": workers}
-    return construct(
-        h.dual(), s, runtime=runtime, tracer=tracer, metrics=metrics, **kwargs
+    return build_slinegraph(
+        h.dual(), s, algorithm, runtime=runtime, tracer=tracer,
+        metrics=metrics, backend=backend, workers=workers,
     )
 
 
 def clique_expansion(
     h: BiAdjacency,
     runtime: ParallelRuntime | None = None,
-    algorithm=None,
+    algorithm: str = "hashmap",
     tracer=None,
     metrics=None,
     backend=None,
@@ -60,7 +60,7 @@ def clique_expansion(
     edge; the weight records in how many hyperedges the pair co-occurs.
     The well-known blow-up (§III-B.3: size can grow quadratically in
     hyperedge cardinality) is the caller's problem — this function will
-    faithfully materialize it.
+    faithfully materialize it.  ``algorithm`` names a single-s preset.
     """
     return scliquegraph(
         h, 1, runtime=runtime, algorithm=algorithm,

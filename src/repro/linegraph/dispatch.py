@@ -307,8 +307,7 @@ class AdaptiveKernel:
     Returns ``TaskResult((src, dst, overlap, stats), work)`` — the shape
     of every construction kernel — on every execution backend.
     ``force`` pins one family for the whole chunk — how
-    ``kernel="hashmap"``/``"intersection"``/``"naive"`` (and ``"bitset"``
-    with non-default ``upper_only``) are served.
+    ``kernel="hashmap"``/``"intersection"``/``"naive"`` are served.
     """
 
     __slots__ = ("edges", "nodes", "s", "upper_only", "policy", "force")
@@ -349,8 +348,6 @@ def make_count_kernel(
     nodes,
     s: int,
     weighted: bool = False,
-    upper_only: bool = True,
-    policy: DispatchPolicy = _DEFAULT_POLICY,
 ):
     """Build the counting body for one builder run.
 
@@ -373,13 +370,8 @@ def make_count_kernel(
                 "weighted constructions require the hashmap kernel"
             )
         return WeightedHashmapKernel(edges, nodes, s)
-    if name == "bitset" and upper_only:
+    if name == "bitset":
         return BitsetOverlapKernel(edges, s)
     return AdaptiveKernel(
-        edges,
-        nodes,
-        s,
-        upper_only=upper_only,
-        policy=policy,
-        force=None if name == "auto" else name,
+        edges, nodes, s, force=None if name == "auto" else name
     )

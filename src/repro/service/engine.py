@@ -50,6 +50,7 @@ import time
 
 import numpy as np
 
+from repro.graph.cc import group_components
 from repro.io.json_io import jsonify
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.tracer import as_tracer
@@ -550,7 +551,7 @@ class QueryEngine:
             return {"result": comps, "via": "lazy"}
         lg, via = self._linegraph(query)
         comps = lg.s_connected_components(return_singletons=singletons)
-        return {"result": [c for c in comps], "via": via}
+        return {"result": comps, "via": via}
 
     def _lazy_components(self, query: dict, singletons: bool) -> list:
         from repro.algorithms.s_traversal import s_connected_components_lazy
@@ -558,16 +559,7 @@ class QueryEngine:
         labels = s_connected_components_lazy(
             self._lazy_side(query), self._s(query)
         )
-        groups: dict[int, list[int]] = {}
-        for v, lab in enumerate(labels.tolist()):
-            groups.setdefault(lab, []).append(v)
-        out = [
-            sorted(members)
-            for members in groups.values()
-            if len(members) > 1 or singletons
-        ]
-        out.sort(key=lambda c: c[0])
-        return out
+        return group_components(labels, singletons)
 
     def _op_is_s_connected(self, query: dict) -> dict:
         if self._should_serve_lazy(query):

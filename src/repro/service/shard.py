@@ -20,9 +20,9 @@ rows:
   the owning shard's partial, so ``s_neighbors``/``s_degree`` touch one
   shard only;
 * **merging** is exact — the per-shard partials cover every s-line edge
-  (each undirected edge twice, once per endpoint's owner), so a
-  union-find sweep over the concatenated pairs reproduces the single
-  engine's connected components, and
+  (each undirected edge twice, once per endpoint's owner), so connected
+  components over the concatenated pairs reproduce the single engine's,
+  and
   :func:`~repro.linegraph.common.finalize_edges` over the concatenation
   reproduces the canonical full edge list **bit-for-bit** (duplicates
   agree on their overlap count; first-wins dedup).
@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.graph.cc import connected_components, group_components
 from repro.linegraph.common import (
     emit_kernel_counters,
     empty_linegraph,
@@ -53,6 +54,7 @@ from repro.linegraph.common import (
 from repro.linegraph.dispatch import KERNEL_NAMES, adaptive_rows
 from repro.parallel.runtime import ParallelRuntime, TaskResult
 from repro.parallel.shared import open_handles
+from repro.structures.csr import CSR
 from repro.structures.relabel import balanced_ranges
 
 from .engine import QueryEngine, _require
@@ -159,52 +161,21 @@ def plan_shards(
     )
 
 
-def _union_find_labels(n: int, partials: list) -> np.ndarray:
-    """Component labels from per-shard pair partials (no graph build).
+def _pair_labels(n: int, partials: list) -> np.ndarray:
+    """Component labels from per-shard pair partials (no edge-list build).
 
-    Classic union-find with path compression + union-by-min-root; the
-    final pass relabels every vertex to its root, so two vertices share
-    a label iff some chain of kept pairs connects them — the same
-    partition :func:`repro.graph.cc.connected_components` computes on
-    the assembled graph.
+    The partials hold every kept pair from both endpoints' owners, so
+    their concatenation indexes straight into a symmetric CSR, and
+    :func:`repro.graph.cc.connected_components` on it gives the same
+    canonical labels as on the assembled s-line graph.
     """
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = int(parent[root])
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    for src, dst, _ in partials:
-        for a, b in zip(src.tolist(), dst.tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-    for v in range(n):
-        parent[v] = find(v)
-    return parent
-
-
-def _group_components(
-    labels: np.ndarray, return_singletons: bool
-) -> list[np.ndarray]:
-    """Label array → component lists, matching ``SLineGraph`` semantics
-    (sorted members, sorted by first member, singletons opt-in)."""
-    groups: dict[int, list[int]] = {}
-    for v, lab in enumerate(labels.tolist()):
-        groups.setdefault(lab, []).append(v)
-    out = [
-        np.array(sorted(members), dtype=np.int64)
-        for members in groups.values()
-        if len(members) > 1 or return_singletons
-    ]
-    out.sort(key=lambda a: int(a[0]))
-    return out
+    if not partials:
+        return np.arange(n, dtype=np.int64)
+    src = np.concatenate([p[0] for p in partials])
+    dst = np.concatenate([p[1] for p in partials])
+    return connected_components(
+        CSR.from_coo(src, dst, num_sources=n, num_targets=n)
+    )
 
 
 class ShardedEngine(QueryEngine):
@@ -437,7 +408,7 @@ class ShardedEngine(QueryEngine):
         self.obs_metrics.counter(
             "service_shard_requests_total", mode="merge", shard="*"
         ).inc()
-        return _union_find_labels(n, partials), partials
+        return _pair_labels(n, partials), partials
 
     def _op_s_connected_components(self, query: dict) -> dict:
         if not self._shard_serves(query):
@@ -445,7 +416,7 @@ class ShardedEngine(QueryEngine):
         singletons = bool(query.get("return_singletons", False))
         labels, _ = self._merged_labels(query)
         return {
-            "result": _group_components(labels, singletons),
+            "result": group_components(labels, singletons),
             "via": "shard:merge",
         }
 
@@ -469,7 +440,7 @@ class ShardedEngine(QueryEngine):
             return super()._op_s_distance(query)
         labels, _ = self._merged_labels(query)
         if labels[src] != labels[dst]:
-            # disconnected: the DSU already proves it, no BFS needed
+            # disconnected: the merged labels already prove it, no BFS needed
             return {"result": -1, "via": "shard:merge"}
         # connected: assemble the exact graph (reusing the memoized
         # partials through the cache builder) and BFS on it

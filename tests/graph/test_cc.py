@@ -10,6 +10,7 @@ from repro.graph.cc import (
     cc_shiloach_vishkin,
     compress_labels,
     connected_components,
+    group_components,
 )
 from repro.parallel.runtime import ParallelRuntime
 from repro.structures.csr import CSR
@@ -111,3 +112,14 @@ def test_lp_equals_afforest_on_two_cliques():
     g = to_csr(G, 20)
     assert np.array_equal(cc_label_propagation(g), cc_afforest(g))
     assert np.array_equal(cc_label_propagation(g), cc_shiloach_vishkin(g))
+
+
+def test_group_components_any_labeling():
+    """Groups follow smallest member, not label value; members ascend."""
+    labels = np.array([9, 3, 9, 3, 1, 7, 9])
+    comps = group_components(labels)
+    assert [c.tolist() for c in comps] == [[0, 2, 6], [1, 3]]
+    assert all(c.dtype == np.int64 for c in comps)
+    comps = group_components(labels, return_singletons=True)
+    assert [c.tolist() for c in comps] == [[0, 2, 6], [1, 3], [4], [5]]
+    assert group_components(np.empty(0, dtype=np.int64), True) == []

@@ -2,12 +2,13 @@
 
 import networkx as nx
 import numpy as np
+import pytest
 
 from repro.linegraph import (
+    PRESETS,
     clique_expansion,
     scliquegraph,
     slinegraph_matrix,
-    slinegraph_queue_intersection,
 )
 from repro.structures.biadjacency import BiAdjacency
 
@@ -61,8 +62,25 @@ def test_blowup_size_quadratic_in_edge_size():
 
 def test_alternative_algorithm_backend(random_h):
     ref = clique_expansion(random_h)
-    alt = clique_expansion(random_h, algorithm=slinegraph_queue_intersection)
+    alt = clique_expansion(random_h, algorithm="queue_intersection")
     assert alt == ref
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["auto"])
+def test_every_preset_builds_the_sline_of_the_dual(random_h, name):
+    """Any preset name selects the builder; all agree with the oracle."""
+    expect = {s: slinegraph_matrix(random_h.dual(), s) for s in (1, 2, 3)}
+    if name in PRESETS and PRESETS[name].ensemble:
+        assert scliquegraph(random_h, [1, 2, 3], algorithm=name) == expect
+        return
+    for s in (1, 2, 3):
+        assert scliquegraph(random_h, s, algorithm=name) == expect[s]
+    assert clique_expansion(random_h, algorithm=name) == expect[1]
+
+
+def test_unknown_algorithm_rejected(random_h):
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        scliquegraph(random_h, 1, algorithm="turbo")
 
 
 def test_clique_expansion_connectivity_matches_hypergraph(random_h):

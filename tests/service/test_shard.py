@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.graph.cc import group_components
 from repro.service import QueryEngine, ShardedEngine, plan_shards
-from repro.service.shard import (
-    ShardPairsKernel,
-    _group_components,
-    _union_find_labels,
-)
+from repro.service.shard import ShardPairsKernel, _pair_labels
 
 from ..conftest import PAPER_MEMBERS, make_biedgelist, random_biedgelist
 
@@ -71,21 +68,25 @@ class TestPlanning:
 
 
 class TestUnionFindMerge:
+    """Labels merged from shard partials, and their grouping."""
+
     def test_labels_match_pair_reachability(self):
+        # partials carry every kept pair from both endpoints' owners
         partials = [
-            (np.array([0, 1]), np.array([1, 2]), np.array([1, 1])),
-            (np.array([4]), np.array([5]), np.array([2])),
+            (np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]),
+             np.array([1, 1, 1, 1])),
+            (np.array([4, 5]), np.array([5, 4]), np.array([2, 2])),
         ]
-        labels = _union_find_labels(6, partials)
+        labels = _pair_labels(6, partials)
         assert labels[0] == labels[1] == labels[2]
         assert labels[4] == labels[5]
         assert labels[3] not in (labels[0], labels[4])
 
     def test_group_components_semantics(self):
         labels = np.array([0, 0, 2, 0, 4])
-        comps = _group_components(labels, return_singletons=False)
+        comps = group_components(labels, return_singletons=False)
         assert [c.tolist() for c in comps] == [[0, 1, 3]]
-        comps = _group_components(labels, return_singletons=True)
+        comps = group_components(labels, return_singletons=True)
         assert [c.tolist() for c in comps] == [[0, 1, 3], [2], [4]]
 
 
