@@ -6,8 +6,8 @@ graphs live in a byte-budgeted LRU cache.  The cache is *s-monotone*:
 because every construction stores overlap counts as edge weights,
 ``L_s`` can be derived from a cached ``L_{s'}`` (s' < s) by filtering —
 no second construction pass.  The same engine serves sockets via
-``AnalyticsServer`` or the asyncio front door; here we drive it
-in process through an ``InProcessSession``.
+``AsyncAnalyticsServer`` (``repro serve``); here we drive it in process
+through an ``InProcessSession``.
 
 Run:  python examples/service_session.py
 """

@@ -3,9 +3,9 @@
 The micro-benchmarks in :mod:`repro.bench` time algorithms in a tight
 loop; this package benchmarks the *service* the way its users hit it:
 multi-tenant request mixes with Zipf key popularity driven over real
-sockets against :class:`~repro.service.server.AnalyticsServer` or
-:class:`~repro.service.aserver.AsyncAnalyticsServer`, measured without
-the coordinated-omission lie, and judged by declarative SLO gates.
+sockets against :class:`~repro.service.aserver.AsyncAnalyticsServer`,
+measured without the coordinated-omission lie, and judged by declarative
+SLO gates.
 
 * :mod:`~repro.bench.load.workload` — :class:`TenantSpec` /
   :class:`WorkloadSpec` traffic models, seeded generators, and

@@ -13,7 +13,7 @@ repo-specific AST rules:
   ``try/finally`` close, or an owner with a close path;
 * **R301–R304** (:mod:`repro.check.protocol_conformance`) —
   protocol conformance: the implemented wire surface (engine handlers,
-  both front doors, error codes, version gates, docs/API.md tables)
+  the front door, error codes, version gates, docs/API.md tables)
   is diffed against the declarative ``repro.service.spec.SPEC``.
 
 All suppress with ``# repro: noqa-RXXX — justification``; the

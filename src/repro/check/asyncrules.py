@@ -60,7 +60,7 @@ _BLOCKING_BUILTINS = frozenset({"open"})
 
 #: constructors of the *threaded* client surface — connecting or
 #: round-tripping one of these parks the event loop on socket I/O
-_SESSION_TYPES = frozenset({"SocketSession", "ServiceClient"})
+_SESSION_TYPES = frozenset({"SocketSession"})
 
 #: blocking methods of the threaded client surface
 _SESSION_METHODS = frozenset({"request", "batch"})

@@ -54,7 +54,6 @@ _FACTORIES = frozenset(
         "WriteAheadLog",
         "StoreHandle",
         "SocketSession",
-        "ServiceClient",
         "open_store",
     }
 )

@@ -8,10 +8,9 @@ the service layer — without importing it — and diff the two:
 
 * **R301 — surface parity.**  ``SPEC`` must stay a pure literal; every
   spec op needs an engine handler (``_op_<name>``) and every handler a
-  spec entry; both front doors must route through the shared
-  ``dispatch_line`` (or, failing that, their own literal dispatch
-  tables must serve exactly the same ops — an op served by one front
-  door but not the other is the bug this rule exists for).
+  spec entry; the front door must route through the shared
+  ``dispatch_line`` (or, failing that, its own literal dispatch table
+  must serve every spec op).
 * **R302 — error codes.**  Every error code the service emits
   (``QueryError(..., code=...)``, ``protocol_error("code", ...)``,
   ``_fail(op, "code", ...)``, ``CODES`` ledgers, ``code = "..."``
@@ -54,7 +53,7 @@ __all__ = [
 _SPEC_MODULE = "service/spec.py"
 _ENGINE_MODULE = "service/engine.py"
 _SHARD_MODULE = "service/shard.py"
-_FRONT_DOORS = ("service/server.py", "service/aserver.py")
+_FRONT_DOORS = ("service/aserver.py",)
 
 #: callables whose error-code argument position we know
 _CODE_CALLS = {"protocol_error": 0, "_fail": 1, "QueryError": 1}
@@ -315,11 +314,11 @@ class FrontDoorParityRule(TreeRule):
     code = "R301"
     summary = (
         "protocol.SPEC is the single literal source of the op surface; "
-        "engine handlers and both front doors must serve exactly it"
+        "engine handlers and the front door must serve exactly it"
     )
     hint = (
         "add the op to SPEC.ops (with its since-version) or remove the "
-        "orphan handler; front doors must route through the shared "
+        "orphan handler; the front door must route through the shared "
         "protocol.dispatch_line"
     )
 
@@ -377,49 +376,15 @@ class FrontDoorParityRule(TreeRule):
                     "from SPEC.ops",
                     op=op,
                 )
-        # -- front door parity -------------------------------------------
-        doors: dict[str, dict[str, int] | None] = {}
+        # -- front door surface ------------------------------------------
         for suffix in _FRONT_DOORS:
             door_ctx = tree.find(suffix)
-            if door_ctx is None:
-                continue
-            if references_name(door_ctx, "dispatch_line"):
-                doors[suffix] = None  # shared router: full surface
-            else:
-                doors[suffix] = literal_dispatch_ops(door_ctx)
-        served: dict[str, frozenset[str]] = {
-            suffix: frozenset(ops) if table is None else frozenset(table)
-            for suffix, table in doors.items()
-        }
-        if len(served) == 2:
-            (door_a, ops_a), (door_b, ops_b) = sorted(served.items())
-            for suffix, mine, theirs, other in (
-                (door_a, ops_a, ops_b, door_b),
-                (door_b, ops_b, ops_a, door_a),
-            ):
-                extra = sorted(mine - theirs)
-                if extra:
-                    door_ctx = tree.find(suffix)
-                    table = doors[suffix] or {}
-                    line = min(
-                        (table.get(op, 1) for op in extra), default=1
-                    )
-                    yield self.finding_at(
-                        door_ctx.path if door_ctx else suffix,
-                        line,
-                        f"front door {suffix} serves op(s) "
-                        f"{', '.join(repr(o) for o in extra)} that "
-                        f"{other} does not",
-                        ops=extra,
-                    )
-        for suffix, table in doors.items():
-            if table is None:
-                continue
-            door_ctx = tree.find(suffix)
-            missing = sorted(set(ops) - set(table))
+            if door_ctx is None or references_name(door_ctx, "dispatch_line"):
+                continue  # absent, or the shared router: full surface
+            missing = sorted(set(ops) - set(literal_dispatch_ops(door_ctx)))
             if missing:
                 yield self.finding_at(
-                    door_ctx.path if door_ctx else suffix,
+                    door_ctx.path,
                     1,
                     f"front door {suffix} does not route through the "
                     "shared dispatch_line and its literal dispatch "

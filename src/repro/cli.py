@@ -318,7 +318,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the analytics server until interrupted (Ctrl-C to stop)."""
     from repro.obs import MetricsRegistry
     from repro.service import (
-        AnalyticsServer,
         AsyncAnalyticsServer,
         QueryEngine,
         ShardedEngine,
@@ -371,20 +370,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 raise SystemExit(
                     f"--quota must be TENANT=RATE[:BURST], got {spec!r}"
                 )
-    if args.frontend == "async":
-        server = AsyncAnalyticsServer(
-            engine,
-            host=args.host,
-            port=args.port,
-            max_inflight=args.max_inflight,
-            quotas=quotas,
-        )
-        server.start()
-    else:
-        server = AnalyticsServer(
-            engine, host=args.host, port=args.port, quotas=quotas
-        )
-        server.start()
+    server = AsyncAnalyticsServer(
+        engine,
+        host=args.host,
+        port=args.port,
+        max_inflight=args.max_inflight,
+        quotas=quotas,
+    ).start()
     host, port = server.address
     shard_note = (
         f", shards={args.shards}" if args.shards > 1 else ""
@@ -842,15 +834,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition each dataset's line-graph build across "
                         "N hyperedge-range shards (>1 enables the sharded "
                         "engine; answers stay bit-identical)")
-    p.add_argument("--frontend", default="threaded",
-                   choices=["threaded", "async"],
-                   help="connection front door: thread-per-connection "
-                        "(threaded) or the asyncio server with pipelining "
-                        "and admission control (async)")
+    p.add_argument("--frontend", default="async", choices=["async"],
+                   help="connection front door: the asyncio server with "
+                        "pipelining and admission control (the only one)")
     p.add_argument("--max-inflight", type=int, default=8,
                    dest="max_inflight",
-                   help="async frontend: concurrent engine executions "
-                        "(ignored for --frontend threaded)")
+                   help="concurrent engine executions")
     p.add_argument("--quota", action="append", default=[],
                    metavar="TENANT=RATE[:BURST]",
                    help="per-tenant token-bucket admission: requests "
@@ -858,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "up to BURST, default RATE) get a structured "
                         "quota_exceeded response; TENANT '*' sets a "
                         "default bucket shape for unlisted tenants "
-                        "(repeatable; works with both frontends)")
+                        "(repeatable)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("query",

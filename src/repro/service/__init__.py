@@ -1,5 +1,5 @@
 """``repro.service`` — the serving layer: resident hypergraphs, cached
-s-line graphs, a concurrent query engine, and JSON-lines TCP servers.
+s-line graphs, a concurrent query engine, and a JSON-lines TCP server.
 
 The paper's workflow (Listing 5) is *build once, query many times*: the
 expensive lower-order approximation ``L_s(H)`` is materialized and then
@@ -19,19 +19,16 @@ that missing layer:
 * :mod:`~repro.service.shard` — the sharded engine: hyperedge-range
   partitions, scatter-gather fast paths, bit-identical answers;
 * :mod:`~repro.service.protocol` — transport-agnostic wire framing
-  (protocol v2) shared by both servers;
-* :mod:`~repro.service.server` — the threaded JSON-lines TCP server
-  (stdlib ``socketserver``);
-* :mod:`~repro.service.aserver` — the asyncio front door: pipelined
+  (protocol v2);
+* :mod:`~repro.service.aserver` — the front door, on asyncio: pipelined
   connections, bounded in-flight work, admission control, graceful
   drain;
 * :mod:`~repro.service.quota` — per-tenant token-bucket admission
-  (``quotas=`` on either server) with one counter-tagged shed path
-  (:class:`ShedLedger`) shared by both front doors;
+  (``quotas=`` on the server) with one counter-tagged shed path
+  (:class:`ShedLedger`);
 * :mod:`~repro.service.session` — the one client surface
   (:class:`Session` / :class:`SocketSession` / :class:`InProcessSession`
-  with typed :class:`ServiceError`); the old ``ServiceClient`` /
-  ``InProcessClient`` names are deprecated aliases.
+  with typed :class:`ServiceError`).
 
 CLI: ``python -m repro serve`` / ``python -m repro query``.
 """
@@ -46,11 +43,8 @@ from .engine import (
     QueryEngine,
     QueryError,
 )
-from .server import AnalyticsServer
 from .session import (
-    InProcessClient,
     InProcessSession,
-    ServiceClient,
     ServiceError,
     Session,
     SocketSession,
@@ -60,11 +54,9 @@ from .spec import SPEC, ProtocolSpec
 from .store import HypergraphStore
 
 __all__ = [
-    "AnalyticsServer",
     "AsyncAnalyticsServer",
     "CacheStats",
     "HypergraphStore",
-    "InProcessClient",
     "InProcessSession",
     "LEGACY_VERSIONS",
     "PROTOCOL_VERSION",
@@ -74,7 +66,6 @@ __all__ = [
     "SPEC",
     "SLineGraphCache",
     "SUPPORTED_VERSIONS",
-    "ServiceClient",
     "ServiceError",
     "Session",
     "ShardPlan",

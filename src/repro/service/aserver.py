@@ -1,10 +1,7 @@
 """The asyncio front door — pipelined connections, backpressure, drain.
 
-The threaded :class:`~repro.service.server.AnalyticsServer` spends one
-OS thread per connection; at the paper's "millions of users" serving
-scale that is the bottleneck long before the engine is.  This server
-multiplexes every connection on one event loop and bounds the work it
-admits:
+Every connection is multiplexed on one event loop, and the server
+bounds the work it admits:
 
 * **persistent pipelined connections** — clients may send any number of
   request lines without waiting; responses come back **in request
@@ -19,6 +16,10 @@ admits:
   (clients can back off) rather than a stall, and the bounded
   per-connection write queue throttles the reader (TCP backpressure) so
   memory stays bounded under any pipelining depth;
+* **bounded request lines** — a line may be up to :data:`LINE_LIMIT`
+  bytes (room for a large ``update`` batch); a longer one is answered,
+  in order, with a structured ``bad_request`` naming the limit, and the
+  connection is then closed;
 * **per-tenant quotas** — with ``quotas=`` configured, requests carrying
   a ``"tenant"`` id in the envelope pass token-bucket admission
   (:mod:`repro.service.quota`) *before* the global pending check: a
@@ -30,15 +31,13 @@ admits:
   accepted request finish and flush its response (bounded by
   ``drain_timeout``), then tears the loop down.
 
-Wire protocol and engine semantics are identical to the threaded server
-(:mod:`repro.service.protocol` is shared), so
-:class:`~repro.service.session.SocketSession` works against either.
+Framing and routing live in :mod:`repro.service.protocol`;
+:class:`~repro.service.session.SocketSession` is the client.
 Queue-depth/connection/shed metrics are emitted through the engine's
 :mod:`repro.obs` registry (``service_async_*``).
 
 The loop runs on a background thread; :meth:`start`/:meth:`stop` (or the
-context manager) are called from ordinary synchronous code, same as the
-threaded server.
+context manager) are called from ordinary synchronous code.
 """
 
 from __future__ import annotations
@@ -52,7 +51,11 @@ from .engine import QueryEngine
 from .protocol import dispatch_line, protocol_error
 from .quota import ShedLedger, TenantQuotas, extract_tenant
 
-__all__ = ["AsyncAnalyticsServer"]
+__all__ = ["LINE_LIMIT", "AsyncAnalyticsServer"]
+
+#: longest request line (bytes, newline excluded) the server reads; a
+#: 4 MiB line holds an ``update`` batch of well over 100k edge ops
+LINE_LIMIT = 4 * 1024 * 1024
 
 
 class AsyncAnalyticsServer:
@@ -63,8 +66,7 @@ class AsyncAnalyticsServer:
     engine:
         The shared :class:`~repro.service.engine.QueryEngine` (a sharded
         engine drops in unchanged).  Constructed fresh when omitted; the
-        server never closes the engine — symmetrical with the threaded
-        server, the owner does.
+        server never closes the engine — the owner does.
     max_inflight:
         Engine executions allowed to run concurrently (thread-pool size
         and semaphore bound).
@@ -123,12 +125,19 @@ class AsyncAnalyticsServer:
         self._g_pending = m.gauge("service_async_pending")
         self._c_requests = m.counter("service_async_requests_total")
         self._c_overloaded = m.counter("service_async_overloaded_total")
-        self._ledger = ShedLedger(m, "service_async")
+        self._ledger = ShedLedger(m)
         self._overloaded_line = self._ledger.prepare(
             "overloaded",
             f"server at capacity ({self.max_pending} requests "
             "pending); back off and retry",
         )
+        self._overlong_line = json.dumps(
+            protocol_error(
+                "bad_request",
+                f"request line longer than {LINE_LIMIT} bytes; "
+                "split the batch",
+            )
+        ).encode("utf-8")
         if self.quotas is not None:
             # per-tenant quota_exceeded lines are precomputed the same
             # way the overloaded line is; tenants born from the "*"
@@ -206,7 +215,7 @@ class AsyncAnalyticsServer:
             max_workers=self.max_inflight, thread_name_prefix="repro-aserve"
         )
         server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+            self._on_connection, self.host, self.port, limit=LINE_LIMIT
         )
         sock = server.sockets[0].getsockname()
         self._address = (sock[0], sock[1])
@@ -271,6 +280,7 @@ class AsyncAnalyticsServer:
         queue: asyncio.Queue = asyncio.Queue(maxsize=self.max_queue)
         writer_task = asyncio.create_task(self._write_loop(queue, writer))
         stop_task = asyncio.create_task(self._stop_event.wait())
+        overlong = False
         try:
             while True:
                 read_task = asyncio.create_task(reader.readline())
@@ -286,7 +296,15 @@ class AsyncAnalyticsServer:
                     except asyncio.CancelledError:
                         pass
                     break
-                raw = read_task.result().strip()
+                try:
+                    raw = read_task.result().strip()
+                except ValueError:
+                    # a line past LINE_LIMIT: the reader has dropped the
+                    # part it saw and lost the framing, so answer in
+                    # order and hang up
+                    overlong = True
+                    await queue.put(self._shed_response(self._overlong_line))
+                    break
                 if not raw:
                     if reader.at_eof():
                         break
@@ -298,6 +316,32 @@ class AsyncAnalyticsServer:
             stop_task.cancel()
             await queue.put(None)
             await writer_task
+        if overlong:
+            await self._hang_up(reader, writer)
+
+    async def _hang_up(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """Half-close after the last reply, then discard the client's
+        unread input until it hangs up too (bounded by ``drain_timeout``).
+
+        Closing a socket with unread input makes the kernel reset the
+        connection and throw away replies not yet sent, so the
+        ``bad_request`` for an overlong line could be lost.
+        """
+        if writer.can_write_eof():
+            writer.write_eof()
+
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), self.drain_timeout)
+        except asyncio.TimeoutError:
+            pass
 
     def _admit(self, raw: bytes) -> "asyncio.Future[bytes]":
         """Accept one request line, or shed it.

@@ -1,10 +1,9 @@
 """Wire-protocol framing shared by every transport front end.
 
-Both servers — the threaded :mod:`repro.service.server` and the asyncio
-:mod:`repro.service.aserver` — speak the same newline-delimited JSON
-protocol: one request object per line, one response object (or response
-array, for batches) per line.  This module owns the transport-agnostic
-part: decoding a request line, routing it to an engine (single query vs.
+The front door (:mod:`repro.service.aserver`) and the in-process
+session speak one newline-delimited JSON protocol: one request object
+per line, one response object (or response array, for batches) per
+line.  This module owns the transport-agnostic part: decoding a request line, routing it to an engine (single query vs.
 ``{"batch": [...]}`` envelope), and producing protocol-level error
 responses.  The engine itself owns per-query semantics and versioning
 (:mod:`repro.service.engine`).

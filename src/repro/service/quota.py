@@ -17,14 +17,13 @@ with classic token-bucket admission per tenant:
   admitted unless a ``"*"`` default spec says otherwise;
 * :func:`extract_tenant` — pulls the tenant id out of a raw request
   line without a full JSON decode on the hot path;
-* :class:`ShedLedger` — the one counter-tagged shed path shared by the
-  asyncio front door and the threaded server: every shed increments
-  ``{prefix}_shed_total{reason=...}`` (plus per-tenant
-  ``{prefix}_tenant_shed_total{tenant=...}`` for quota sheds) and
-  returns a **cached** pre-encoded response line, so shedding under
-  overload costs no JSON encoding at all.
+* :class:`ShedLedger` — the one counter-tagged shed path of the front
+  door: every shed increments ``service_async_shed_total{reason=...}``
+  (plus per-tenant ``service_async_tenant_shed_total{tenant=...}`` for
+  quota sheds) and returns a **cached** pre-encoded response line, so
+  shedding under overload costs no JSON encoding at all.
 
-Both servers accept ``quotas=`` (a :class:`TenantQuotas` or its spec
+The server accepts ``quotas=`` (a :class:`TenantQuotas` or its spec
 dict); the load harness (:mod:`repro.bench.load`) drives the
 noisy-neighbor scenario that proves the isolation.
 """
@@ -54,8 +53,8 @@ _TENANT_RE = re.compile(rb'"tenant"\s*:\s*"((?:[^"\\]|\\.)*)"')
 class TokenBucket:
     """``rate`` tokens/second refill up to ``burst``; take-or-shed.
 
-    Thread-safe (the threaded server admits from handler threads).  The
-    clock is injectable for deterministic refill tests.
+    Thread-safe.  The clock is injectable for deterministic refill
+    tests.
     """
 
     __slots__ = ("rate", "burst", "_tokens", "_last", "_clock", "_lock")
@@ -205,17 +204,15 @@ def extract_tenant(raw: bytes) -> str | None:
 
 
 class ShedLedger:
-    """One shed path for both front doors: count, then answer from cache.
+    """The front door's one shed path: count, then answer from cache.
 
-    ``prefix`` namespaces the counters per front door
-    (``service_async`` for :class:`AsyncAnalyticsServer`, ``service``
-    for the threaded :class:`AnalyticsServer`), so both report sheds
-    through the same scheme:
+    Counters (the ``service_async`` prefix names the front door):
 
-    * ``{prefix}_shed_total{reason="overloaded"|"quota"}`` — every shed;
-    * ``{prefix}_tenant_shed_total{tenant=...}`` — quota sheds, per
-      tenant;
-    * ``{prefix}_tenant_requests_total{tenant=...}`` — admitted
+    * ``service_async_shed_total{reason="overloaded"|"quota"}`` — every
+      shed;
+    * ``service_async_tenant_shed_total{tenant=...}`` — quota sheds,
+      per tenant;
+    * ``service_async_tenant_requests_total{tenant=...}`` — admitted
       requests, per tenant (via :meth:`admitted`).
 
     Response lines are pre-encoded once per ``(reason, tenant)`` and
@@ -226,9 +223,11 @@ class ShedLedger:
     #: reason tag -> structured error code on the wire
     CODES = {"overloaded": "overloaded", "quota": "quota_exceeded"}
 
-    def __init__(self, metrics: object, prefix: str) -> None:
+    #: metric-name prefix of every counter the ledger moves
+    PREFIX = "service_async"
+
+    def __init__(self, metrics: object) -> None:
         self._metrics = metrics
-        self.prefix = prefix
         self._lines: dict[tuple[str, str | None], bytes] = {}
         self._lock = threading.Lock()
 
@@ -258,16 +257,16 @@ class ShedLedger:
     def shed(self, reason: str, tenant: str | None = None) -> None:
         """Count one shed (call sites answer with the cached line)."""
         self._metrics.counter(
-            f"{self.prefix}_shed_total", reason=reason
+            f"{self.PREFIX}_shed_total", reason=reason
         ).inc()
         if tenant is not None:
             self._metrics.counter(
-                f"{self.prefix}_tenant_shed_total", tenant=tenant
+                f"{self.PREFIX}_tenant_shed_total", tenant=tenant
             ).inc()
 
     def admitted(self, tenant: str | None) -> None:
         """Count one admitted request for a tenant-carrying envelope."""
         if tenant is not None:
             self._metrics.counter(
-                f"{self.prefix}_tenant_requests_total", tenant=tenant
+                f"{self.PREFIX}_tenant_requests_total", tenant=tenant
             ).inc()

@@ -1,9 +1,7 @@
 """The client surface: one ``Session`` API over every transport.
 
-PR 1 grew two parallel clients — ``ServiceClient`` (socket) and
-``InProcessClient`` (directly over an engine) — with duplicated
-conveniences and callers fishing error codes out of response dicts.
-This module collapses them into one surface:
+One surface for the socket and the in-process transport, with typed
+errors instead of callers fishing codes out of response dicts:
 
 * :class:`Session` — the shared base: ``request`` / ``query`` /
   ``batch`` / ``update`` / ``metrics`` / ``prometheus``, context-manager
@@ -11,9 +9,9 @@ This module collapses them into one surface:
   response raises :class:`ServiceError` carrying the structured
   ``error.code`` instead of returning ``{"ok": false, ...}`` for the
   caller to inspect;
-* :class:`SocketSession` — the JSON-lines TCP transport (works against
-  both the threaded and the asyncio server; connections are persistent
-  and pipelinable);
+* :class:`SocketSession` — the JSON-lines TCP transport into
+  :class:`~repro.service.aserver.AsyncAnalyticsServer` (connections are
+  persistent and pipelinable);
 * :class:`InProcessSession` — no socket, straight onto a
   :class:`~repro.service.engine.QueryEngine` (notebooks, tests).
 
@@ -21,26 +19,18 @@ A session may pin a protocol ``version`` for its lifetime — every query
 then carries ``"version": N`` and batch envelopes ``"v": N`` — which is
 how a v1 client talks to a v2 server (and how the compatibility tests
 impersonate one).
-
-The old names remain importable as deprecated aliases
-(:class:`ServiceClient`, :class:`InProcessClient`): thin subclasses
-pinned to the legacy non-strict behavior that warn on construction and
-will be removed after one release.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import warnings
 
 from .engine import QueryEngine
 from .protocol import dispatch
 
 __all__ = [
-    "InProcessClient",
     "InProcessSession",
-    "ServiceClient",
     "ServiceError",
     "Session",
     "SocketSession",
@@ -240,32 +230,3 @@ class InProcessSession(Session):
     def close(self) -> None:
         if self._owns_engine:
             self.engine.close()
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (repro.service.session)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class ServiceClient(SocketSession):
-    """Deprecated alias of :class:`SocketSession` (non-strict)."""
-
-    def __init__(
-        self, host: str, port: int, timeout: float | None = 30.0
-    ) -> None:
-        _deprecated("ServiceClient", "SocketSession")
-        super().__init__(host, port, timeout=timeout, strict=False)
-
-
-class InProcessClient(InProcessSession):
-    """Deprecated alias of :class:`InProcessSession` (non-strict)."""
-
-    def __init__(self, engine: QueryEngine | None = None) -> None:
-        _deprecated("InProcessClient", "InProcessSession")
-        super().__init__(engine, strict=False)
-        # the legacy client never closed anything, even an engine it
-        # created — preserve that exactly for the deprecation window
-        self._owns_engine = False

@@ -43,6 +43,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse as sp
 
 from repro.graph.cc import connected_components, group_components
 from repro.linegraph.common import (
@@ -167,14 +168,21 @@ def _pair_labels(n: int, partials: list) -> np.ndarray:
     The partials hold every kept pair from both endpoints' owners, so
     their concatenation indexes straight into a symmetric CSR, and
     :func:`repro.graph.cc.connected_components` on it gives the same
-    canonical labels as on the assembled s-line graph.
+    canonical labels as on the assembled s-line graph.  The CSR comes
+    from scipy's COO→CSR counting pass (as in
+    :meth:`~repro.structures.csr.CSR.from_undirected`), not a lexsort
+    of every pair.
     """
     if not partials:
         return np.arange(n, dtype=np.int64)
-    src = np.concatenate([p[0] for p in partials])
-    dst = np.concatenate([p[1] for p in partials])
+    idx = np.int32 if n < 2**31 else np.int64
+    src = np.concatenate([p[0] for p in partials], dtype=idx)
+    dst = np.concatenate([p[1] for p in partials], dtype=idx)
+    adj = sp.coo_matrix(
+        (np.zeros(src.size, dtype=np.bool_), (src, dst)), shape=(n, n)
+    ).tocsr()
     return connected_components(
-        CSR.from_coo(src, dst, num_sources=n, num_targets=n)
+        CSR(adj.indptr, adj.indices, num_targets=n, sorted_rows=True)
     )
 
 
@@ -190,8 +198,8 @@ class ShardedEngine(QueryEngine):
       on the execution backend (the cache's ``builder`` hook);
     * on cache misses, ``s_neighbors``/``s_degree`` route to the owning
       shard (``via: "shard:route"``), and the connectivity ops merge
-      per-shard partials through union-find (``via: "shard:merge"``)
-      without materializing the full graph;
+      per-shard partials through one connected-components pass
+      (``via: "shard:merge"``) without materializing the full graph;
     * the ``shards`` op (protocol >= 1.1) reports placement and load.
 
     The engine installs its assembly hook on ``cache`` — do not share

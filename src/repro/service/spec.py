@@ -5,7 +5,7 @@ speaks lives here, once, as a plain literal.  Runtime code *derives*
 its tables from :data:`SPEC` (``engine.PROTOCOL_VERSION``,
 ``engine._POST_V1_OPS``, ...), and the protocol-conformance lint rules
 (:mod:`repro.check.protocol_conformance`) *extract* the same literal
-from this module's AST and diff it against what the front doors, the
+from this module's AST and diff it against what the front door, the
 engine, and ``docs/API.md`` actually implement.  That split is the
 point: the checker proves conformance without importing the service,
 so a broken import can never silently pass the conformance gate.

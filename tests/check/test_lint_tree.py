@@ -45,14 +45,14 @@ class TestTreeIsClean:
         )
 
     def test_protocol_surface_conforms(self):
-        # both front doors, the error codes, the version gate, and the
+        # the front door, the error codes, the version gate, and the
         # docs/API.md tables must all match repro.service.spec.SPEC
         from repro.check import conformance_summary, parse_tree
 
         tree, errors = parse_tree([str(REPO_ROOT / "src")])
         assert errors == []
         rows = conformance_summary(tree)
-        assert len(rows) >= 6  # engine, 2 doors, codes, gate, 2 doc tables
+        assert len(rows) >= 6  # engine, door, codes, gate, 2 doc tables
         drifted = [r for r in rows if r["status"] != "ok"]
         assert drifted == [], drifted
 

@@ -1,7 +1,7 @@
 """R301–R304 protocol-conformance tree rules over fixture service trees.
 
 Each test materializes a miniature ``src/repro/service`` tree (spec,
-engine, both front doors, ``docs/API.md``) in ``tmp_path``, seeds one
+engine, front door, ``docs/API.md``) in ``tmp_path``, seeds one
 kind of drift, and asserts the matching rule flags it — plus a fully
 conformant baseline that must stay silent.
 """
@@ -43,23 +43,15 @@ class Engine:
         return op
 """
 
-SERVER_PY = """\
-from .protocol import dispatch_line
-
-
-def serve(engine, line):
-    try:
-        return dispatch_line(engine, line)
-    except ValueError:
-        return protocol_error("internal_error", "boom")
-"""
-
 ASERVER_PY = """\
 from .protocol import dispatch_line
 
 
 async def serve(engine, line):
-    return dispatch_line(engine, line)
+    try:
+        return dispatch_line(engine, line)
+    except ValueError:
+        return protocol_error("internal_error", "boom")
 """
 
 API_MD = """\
@@ -80,7 +72,6 @@ API_MD = """\
 DEFAULTS = {
     "src/repro/service/spec.py": SPEC_PY,
     "src/repro/service/engine.py": ENGINE_PY,
-    "src/repro/service/server.py": SERVER_PY,
     "src/repro/service/aserver.py": ASERVER_PY,
     "docs/API.md": API_MD,
 }
@@ -149,8 +140,8 @@ class TestR301SurfaceParity:
         )
 
     def test_front_door_divergence_flagged(self, tmp_path):
-        # the async door abandons the shared router for a literal table
-        # that misses 'update' — both directions of R301 fire
+        # the front door abandons the shared router for a literal table
+        # that misses 'update'
         aserver = """\
         async def serve(engine, op, line):
             handlers = {"stats": 1, "s_distance": 2}
@@ -194,14 +185,14 @@ class TestR301SurfaceParity:
 
 class TestR302ErrorCodes:
     def test_non_canonical_code_flagged_at_site(self, tmp_path):
-        server = SERVER_PY.replace('"internal_error"', '"weird"')
+        aserver = ASERVER_PY.replace('"internal_error"', '"weird"')
         # keep internal_error emitted somewhere so only 'weird' drifts
-        server += (
+        aserver += (
             "\n\ndef fallback(op):\n"
             '    return protocol_error("internal_error", "fallback")\n'
         )
         root = make_tree(
-            tmp_path, **{"src/repro/service/server.py": server}
+            tmp_path, **{"src/repro/service/aserver.py": aserver}
         )
         findings = conformance(lint_paths([str(root)]))
         assert any(

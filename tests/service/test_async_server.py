@@ -1,4 +1,6 @@
-"""AsyncAnalyticsServer: pipelining, admission control, graceful drain."""
+"""AsyncAnalyticsServer + SocketSession: live socket round-trips,
+pipelining, admission control, line limits, graceful drain — plus the
+same surface in process."""
 
 import json
 import socket
@@ -9,10 +11,12 @@ import pytest
 
 from repro.service import (
     AsyncAnalyticsServer,
+    InProcessSession,
     QueryEngine,
     ServiceError,
     SocketSession,
 )
+from repro.service.aserver import LINE_LIMIT
 
 from ..conftest import PAPER_MEMBERS, make_biedgelist
 
@@ -55,6 +59,22 @@ class TestRoundTrip:
             resp = json.loads(sock.makefile("rb").readline())
         assert not resp["ok"] and resp["error"]["code"] == "bad_json"
 
+    def test_blank_lines_are_skipped(self, server):
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"\n\n" + json.dumps({"op": "datasets"}).encode() + b"\n"
+            )
+            resp = json.loads(sock.makefile("rb").readline())
+        assert resp["ok"] and resp["result"] == ["paper"]
+
+    def test_register_over_the_wire(self, server):
+        host, port = server.address
+        with SocketSession(host, port) as session:
+            resp = session.query("register", name="r", source="rand1")
+            assert resp["ok"] and resp["result"]["num_edges"] == 5000
+            assert "r" in session.query("datasets")["result"]
+
     def test_strict_session_raises_typed_error(self, server):
         host, port = server.address
         with SocketSession(host, port) as session:
@@ -64,6 +84,18 @@ class TestRoundTrip:
 
 
 class TestPipelining:
+    def test_pipelined_queries_one_connection(self, server):
+        host, port = server.address
+        with SocketSession(host, port) as session:
+            warm = session.query("warm", dataset="paper", s_values=[1, 2, 3])
+            assert warm["result"] == {"1": "miss", "2": "derive", "3": "derive"}
+            for s in (1, 2, 3):
+                resp = session.query("s_info", dataset="paper", s=s)
+                assert resp["ok"] and resp["via"] == "cache:hit"
+            metrics = session.metrics()["result"]
+        assert metrics["cache"]["derives"] == 2
+        assert metrics["cache"]["hits"] >= 3
+
     def test_deep_pipeline_responses_in_order(self, server):
         host, port = server.address
         with SocketSession(host, port) as session:
@@ -105,6 +137,86 @@ class TestPipelining:
         for t in threads:
             t.join()
         assert not errors
+
+    def test_concurrent_clients_share_session_state(self, server):
+        host, port = server.address
+        errors: list = []
+
+        def worker():
+            try:
+                with SocketSession(host, port) as session:
+                    for s in (1, 2, 3):
+                        resp = session.query("s_info", dataset="paper", s=s)
+                        assert resp["ok"], resp
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        stats = server.engine.cache.stats
+        # 18 requests, 3 distinct graphs: everything beyond the first
+        # build per s was a hit or derive
+        assert stats.hits + stats.derives + stats.misses + stats.bypasses == 18
+        assert stats.misses <= 3
+
+
+def _wait_for_no_connections(engine) -> None:
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        conns = [
+            s["value"] for s in engine.obs_metrics.snapshot()
+            if s["name"] == "service_async_connections"
+        ]
+        if conns and conns[0] == 0:
+            return
+        time.sleep(0.05)
+    pytest.fail("connection gauge never returned to 0")
+
+
+class TestLineLimit:
+    def test_large_line_is_answered(self, server):
+        """A 100 KB request line is well inside the limit."""
+        host, port = server.address
+        with SocketSession(host, port) as session:
+            resp = session.request({"op": "datasets", "pad": "x" * 100_000})
+            assert resp["ok"] and resp["result"] == ["paper"]
+            # the connection keeps serving after it
+            assert session.query("datasets")["ok"]
+
+    def test_overlong_line_gets_bad_request(self, server, caplog):
+        """Past LINE_LIMIT: replies so far, then a structured
+        ``bad_request`` naming the limit, then a clean hang-up."""
+        import logging
+
+        host, port = server.address
+        first = json.dumps({"op": "datasets"}).encode() + b"\n"
+        # twice the limit: the server refuses while the client is still
+        # sending, so a hang-up that left input unread would reset the
+        # connection and lose the reply
+        pad = b"x" * (2 * LINE_LIMIT)
+        overlong = b'{"op": "datasets", "pad": "' + pad + b'"}\n'
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(first + overlong)
+                with sock.makefile("rb") as rfile:
+                    ok = json.loads(rfile.readline())
+                    refused = json.loads(rfile.readline())
+                    assert rfile.readline() == b""  # the server hung up
+            _wait_for_no_connections(server.engine)
+        assert ok["ok"] and ok["result"] == ["paper"]
+        assert refused["ok"] is False
+        assert refused["error"]["code"] == "bad_request"
+        assert str(LINE_LIMIT) in refused["error"]["message"]
+        assert not [
+            r for r in caplog.records if "client_connected_cb" in r.message
+        ]
+        # and the server still serves
+        with SocketSession(host, port) as session:
+            assert session.query("datasets")["ok"]
 
 
 class TestAdmissionControl:
@@ -195,17 +307,7 @@ class TestLifecycle:
         host, port = server.address
         with SocketSession(host, port) as session:
             session.query("datasets")
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
-            snap = server.engine.obs_metrics.snapshot()
-            conns = [
-                s["value"] for s in snap
-                if s["name"] == "service_async_connections"
-            ]
-            if conns and conns[0] == 0:
-                return
-            time.sleep(0.05)
-        pytest.fail("connection gauge never returned to 0")
+        _wait_for_no_connections(server.engine)
 
     def test_abrupt_disconnect_is_not_a_server_error(self, server, caplog):
         """A client slamming the door (RST) mid-pipeline is routine.
@@ -300,3 +402,23 @@ class TestExecutorTeardown:
             t.name.startswith("repro-aserve") and t.is_alive()
             for t in threading.enumerate()
         )
+
+
+class TestInProcessSession:
+    def test_same_surface_without_sockets(self, engine):
+        with InProcessSession(engine) as session:
+            resp = session.query("s_distance", dataset="paper", s=2, src=0, dst=2)
+            assert resp["ok"] and resp["result"] == 2
+            out = session.batch([{"op": "datasets"}])
+            assert out[0]["result"] == ["paper"]
+            assert session.metrics()["ok"]
+
+    def test_request_dispatches_batch_payloads(self, engine):
+        session = InProcessSession(engine)
+        out = session.request({"batch": [{"op": "datasets"}]})
+        assert isinstance(out, list) and out[0]["ok"]
+
+    def test_default_engine(self):
+        with InProcessSession() as session:
+            resp = session.query("datasets")
+            assert resp["ok"] and resp["result"] == []

@@ -1,4 +1,4 @@
-"""Per-tenant quotas: refill math, extraction, ledger, both front doors."""
+"""Per-tenant quotas: refill math, extraction, ledger, the front door."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.service import (
-    AnalyticsServer,
     AsyncAnalyticsServer,
     QueryEngine,
     ServiceError,
@@ -131,7 +130,7 @@ class TestExtractTenant:
 
 class TestShedLedger:
     def test_lines_are_cached_and_structured(self):
-        ledger = ShedLedger(MetricsRegistry(), "service_async")
+        ledger = ShedLedger(MetricsRegistry())
         line1 = ledger.quota_line("a")
         line2 = ledger.quota_line("a")
         assert line1 is line2  # pre-encoded once, reused forever
@@ -142,23 +141,23 @@ class TestShedLedger:
 
     def test_counters_move_per_reason_and_tenant(self):
         metrics = MetricsRegistry()
-        ledger = ShedLedger(metrics, "service")
+        ledger = ShedLedger(metrics)
         ledger.shed("quota", "a")
         ledger.shed("quota", "a")
         ledger.shed("overloaded", None)
         ledger.admitted("a")
         ledger.admitted(None)  # anonymous: no tenant counter
         assert metrics.counter(
-            "service_shed_total", reason="quota"
+            "service_async_shed_total", reason="quota"
         ).value == 2
         assert metrics.counter(
-            "service_shed_total", reason="overloaded"
+            "service_async_shed_total", reason="overloaded"
         ).value == 1
         assert metrics.counter(
-            "service_tenant_shed_total", tenant="a"
+            "service_async_tenant_shed_total", tenant="a"
         ).value == 2
         assert metrics.counter(
-            "service_tenant_requests_total", tenant="a"
+            "service_async_tenant_requests_total", tenant="a"
         ).value == 1
 
 
@@ -184,18 +183,11 @@ def _drain_until_shed(address, tenant: str, tries: int = 50) -> dict:
 
 
 class TestQuotasOverSockets:
-    """Both front doors shed the same way on the wire."""
+    """The front door sheds quota'd tenants on the wire."""
 
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_quota_shed_is_structured_and_counted(self, engine, frontend):
+    def test_quota_shed_is_structured_and_counted(self, engine):
         quotas = {"bursty": {"rate": 0.001, "burst": 3}}
-        if frontend == "async":
-            server_cm = AsyncAnalyticsServer(engine, quotas=quotas)
-            prefix = "service_async"
-        else:
-            server_cm = AnalyticsServer(engine, quotas=quotas)
-            prefix = "service"
-        with server_cm as server:
+        with AsyncAnalyticsServer(engine, quotas=quotas) as server:
             resp = _drain_until_shed(server.address, "bursty")
             assert resp["error"]["code"] == "quota_exceeded"
             # an unquota'd tenant on the same server is untouched
@@ -207,16 +199,16 @@ class TestQuotasOverSockets:
                 assert ok.get("ok") is True
         registry = engine.obs_metrics
         assert registry.counter(
-            f"{prefix}_shed_total", reason="quota"
+            "service_async_shed_total", reason="quota"
         ).value >= 1
         assert registry.counter(
-            f"{prefix}_tenant_shed_total", tenant="bursty"
+            "service_async_tenant_shed_total", tenant="bursty"
         ).value >= 1
         assert registry.counter(
-            f"{prefix}_tenant_requests_total", tenant="bursty"
+            "service_async_tenant_requests_total", tenant="bursty"
         ).value == 3  # the burst that was admitted
         assert registry.counter(
-            f"{prefix}_tenant_requests_total", tenant="quiet"
+            "service_async_tenant_requests_total", tenant="quiet"
         ).value == 1
 
     def test_strict_session_raises_service_error(self, engine):
@@ -233,7 +225,7 @@ class TestQuotasOverSockets:
 
     def test_anonymous_requests_never_quota_shed(self, engine):
         quotas = {"*": {"rate": 0.001, "burst": 1}}
-        with AnalyticsServer(engine, quotas=quotas) as server:
+        with AsyncAnalyticsServer(engine, quotas=quotas) as server:
             with SocketSession(*server.address, strict=False) as session:
                 for _ in range(10):
                     resp = session.request(

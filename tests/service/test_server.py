@@ -1,4 +1,7 @@
-"""AnalyticsServer + SocketSession: live socket round-trips."""
+"""The front door seen as a plain socket server: response envelopes,
+raw batch lines, error recovery on one connection, and the start/stop
+lifecycle under ``with``. Pipelining, admission control and line limits
+are in ``test_async_server.py``."""
 
 import json
 import socket
@@ -7,12 +10,7 @@ import time
 
 import pytest
 
-from repro.service import (
-    AnalyticsServer,
-    InProcessSession,
-    QueryEngine,
-    SocketSession,
-)
+from repro.service import AsyncAnalyticsServer, QueryEngine, SocketSession
 
 from ..conftest import PAPER_MEMBERS, make_biedgelist
 
@@ -26,7 +24,7 @@ def engine():
 
 @pytest.fixture
 def server(engine):
-    with AnalyticsServer(engine) as srv:  # port=0 -> ephemeral
+    with AsyncAnalyticsServer(engine) as srv:  # port=0 -> ephemeral
         yield srv
 
 
@@ -42,94 +40,59 @@ class TestSocketRoundTrip:
         assert resp["via"] in ("cache:miss", "cache:hit", "cache:derive")
         assert resp["ms"] >= 0
 
-    def test_pipelined_queries_one_connection(self, server):
-        host, port = server.address
-        with SocketSession(host, port) as session:
-            warm = session.query("warm", dataset="paper", s_values=[1, 2, 3])
-            assert warm["result"] == {"1": "miss", "2": "derive", "3": "derive"}
-            for s in (1, 2, 3):
-                resp = session.query("s_info", dataset="paper", s=s)
-                assert resp["ok"] and resp["via"] == "cache:hit"
-            metrics = session.metrics()["result"]
-        assert metrics["cache"]["derives"] == 2
-        assert metrics["cache"]["hits"] >= 3
-
     def test_batch_over_socket(self, server):
+        """One ``{"batch": [...]}`` line gets one reply line: a list in
+        input order, a failed item staying in its slot."""
         host, port = server.address
         queries = [
             {"op": "s_degree", "dataset": "paper", "s": 1, "v": v}
             for v in range(4)
         ]
-        with SocketSession(host, port) as session:
-            out = session.batch(queries)
-        assert [r["result"] for r in out] == [3, 3, 3, 3]
+        queries.insert(2, {"op": "s_degree", "dataset": "nope", "s": 1, "v": 0})
+        line = json.dumps({"batch": queries}).encode() + b"\n"
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(line)
+            out = json.loads(sock.makefile("rb").readline())
+        assert isinstance(out, list) and len(out) == 5
+        assert out[2]["ok"] is False
+        assert [r["result"] for i, r in enumerate(out) if i != 2] == [3, 3, 3, 3]
 
     def test_malformed_line_gets_error_response(self, server):
+        """A bad line is answered and the connection keeps serving."""
         host, port = server.address
         with socket.create_connection((host, port), timeout=10) as sock:
-            sock.sendall(b"this is not json\n")
-            line = sock.makefile("rb").readline()
-        resp = json.loads(line)
+            sock.sendall(
+                b"this is not json\n"
+                + json.dumps({"op": "datasets"}).encode() + b"\n"
+            )
+            with sock.makefile("rb") as rfile:
+                resp = json.loads(rfile.readline())
+                after = json.loads(rfile.readline())
         assert not resp["ok"] and "bad request line" in resp["error"]["message"]
         assert resp["error"]["code"] == "bad_json"
-
-    def test_blank_lines_are_skipped(self, server):
-        host, port = server.address
-        with socket.create_connection((host, port), timeout=10) as sock:
-            sock.sendall(b"\n\n" + json.dumps({"op": "datasets"}).encode() + b"\n")
-            resp = json.loads(sock.makefile("rb").readline())
-        assert resp["ok"] and resp["result"] == ["paper"]
-
-    def test_concurrent_clients_share_session_state(self, server):
-        host, port = server.address
-        errors: list = []
-
-        def worker():
-            try:
-                with SocketSession(host, port) as session:
-                    for s in (1, 2, 3):
-                        resp = session.query("s_info", dataset="paper", s=s)
-                        assert resp["ok"], resp
-            except Exception as exc:  # pragma: no cover - diagnostic
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        stats = server.engine.cache.stats
-        # 18 requests, 3 distinct graphs: everything beyond the first
-        # build per s was a hit or derive
-        assert stats.hits + stats.derives + stats.misses + stats.bypasses == 18
-        assert stats.misses <= 3
-
-    def test_register_over_the_wire(self, server):
-        host, port = server.address
-        with SocketSession(host, port) as session:
-            resp = session.query("register", name="r", source="rand1")
-            assert resp["ok"] and resp["result"]["num_edges"] == 5000
-            assert "r" in session.query("datasets")["result"]
+        assert after["ok"] and after["result"] == ["paper"]
 
 
 class TestServerLifecycle:
     def test_stop_is_idempotent(self, engine):
-        srv = AnalyticsServer(engine).start()
-        srv.stop()
+        AsyncAnalyticsServer(engine).stop()  # never started: a no-op
+        with AsyncAnalyticsServer(engine) as srv:
+            pass
+        srv.stop()  # already stopped by the with block
         srv.stop()
 
     def test_double_start_rejected(self, engine):
-        srv = AnalyticsServer(engine)
-        try:
-            srv.start()
+        """The refused second start leaves the running server serving."""
+        with AsyncAnalyticsServer(engine) as srv:
             with pytest.raises(RuntimeError, match="already started"):
                 srv.start()
-        finally:
-            srv.stop()
+            host, port = srv.address
+            with SocketSession(host, port) as session:
+                assert session.query("datasets")["result"] == ["paper"]
 
     def test_stop_drains_inflight_request(self, engine):
-        """A request mid-execution finishes its response during stop()."""
+        """stop() refuses new connections at once, yet the request
+        mid-execution still finishes and gets its response."""
         release = threading.Event()
         entered = threading.Event()
         real_execute = engine.execute
@@ -140,52 +103,31 @@ class TestServerLifecycle:
             return real_execute(query)
 
         engine.execute = slow_execute
-        srv = AnalyticsServer(engine).start()
+        srv = AsyncAnalyticsServer(engine, drain_timeout=10).start()
         host, port = srv.address
         session = SocketSession(host, port)
+        stopper = threading.Thread(target=srv.stop)
         try:
             session.send({"op": "datasets"})
             assert entered.wait(timeout=10)
-            assert srv.inflight() == 1
-            stopper = threading.Thread(target=srv.stop)
             stopper.start()
-            time.sleep(0.1)  # let stop() reach the drain wait
+            # the listener closes while the request is still held
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    socket.create_connection((host, port), timeout=1).close()
+                except ConnectionRefusedError:
+                    break
+                assert time.monotonic() < deadline, "still accepting"
+                time.sleep(0.05)
+            assert stopper.is_alive()  # waiting on the held request
             release.set()
-            stopper.join(timeout=10)
+            stopper.join(timeout=15)
             assert not stopper.is_alive()
             resp = session.recv()
             assert resp["ok"] and resp["result"] == ["paper"]
-            assert srv.inflight() == 0
         finally:
             release.set()
             session.close()
-
-    def test_wait_idle_times_out(self, engine):
-        srv = AnalyticsServer(engine)
-        try:
-            srv._begin_request()
-            assert srv.wait_idle(timeout=0.05) is False
-            srv._end_request()
-            assert srv.wait_idle(timeout=1) is True
-        finally:
-            srv.server_close()
-
-
-class TestInProcessSession:
-    def test_same_surface_without_sockets(self, engine):
-        with InProcessSession(engine) as session:
-            resp = session.query("s_distance", dataset="paper", s=2, src=0, dst=2)
-            assert resp["ok"] and resp["result"] == 2
-            out = session.batch([{"op": "datasets"}])
-            assert out[0]["result"] == ["paper"]
-            assert session.metrics()["ok"]
-
-    def test_request_dispatches_batch_payloads(self, engine):
-        session = InProcessSession(engine)
-        out = session.request({"batch": [{"op": "datasets"}]})
-        assert isinstance(out, list) and out[0]["ok"]
-
-    def test_default_engine(self):
-        with InProcessSession() as session:
-            resp = session.query("datasets")
-            assert resp["ok"] and resp["result"] == []
+            if stopper.is_alive():
+                stopper.join(timeout=15)

@@ -1,25 +1,19 @@
 """One Session contract, every transport — plus v1-client compatibility.
 
-The same behavioral assertions run against ``InProcessSession``, a
-``SocketSession`` into the threaded server, and a ``SocketSession`` into
-the asyncio front door: the transport is an implementation detail of the
-surface.  A second suite pins ``version=1`` on a session to impersonate
-a v1 client against the v2 server, and the deprecated aliases are held
-to their legacy (non-strict, warning) behavior.
+The same behavioral assertions run against ``InProcessSession`` and a
+``SocketSession`` into the asyncio front door: the transport is an
+implementation detail of the surface.  A second suite pins
+``version=1`` on a session to impersonate a v1 client against the v2
+server.
 """
-
-import warnings
 
 import pytest
 
 from repro.service import (
-    AnalyticsServer,
     AsyncAnalyticsServer,
-    InProcessClient,
     InProcessSession,
     PROTOCOL_VERSION,
     QueryEngine,
-    ServiceClient,
     ServiceError,
     Session,
     SocketSession,
@@ -34,7 +28,7 @@ def make_engine() -> QueryEngine:
     return eng
 
 
-@pytest.fixture(params=["inprocess", "threaded", "async"])
+@pytest.fixture(params=["inprocess", "async"])
 def session(request):
     """The Session surface over each transport, torn down in order."""
     engine = make_engine()
@@ -43,11 +37,7 @@ def session(request):
             yield s
         engine.close()
         return
-    server_cls = (
-        AnalyticsServer if request.param == "threaded"
-        else AsyncAnalyticsServer
-    )
-    with server_cls(engine) as srv:
+    with AsyncAnalyticsServer(engine) as srv:
         host, port = srv.address
         with SocketSession(host, port) as s:
             yield s
@@ -111,14 +101,15 @@ class TestSessionContract:
 class TestV1Compatibility:
     """A v1-pinned session is a stand-in for a real v1 client binary."""
 
-    @pytest.fixture(params=["threaded", "async"])
+    @pytest.fixture(params=["inprocess", "async"])
     def v1_session(self, request):
         engine = make_engine()
-        server_cls = (
-            AnalyticsServer if request.param == "threaded"
-            else AsyncAnalyticsServer
-        )
-        with server_cls(engine) as srv:
+        if request.param == "inprocess":
+            with InProcessSession(engine, strict=False, version=1) as s:
+                yield s
+            engine.close()
+            return
+        with AsyncAnalyticsServer(engine) as srv:
             host, port = srv.address
             with SocketSession(host, port, strict=False, version=1) as s:
                 yield s
@@ -141,33 +132,3 @@ class TestV1Compatibility:
         assert resp["ok"] is False
         assert resp["error"]["code"] == "unknown_op"
         assert "requires protocol" in resp["error"]["message"]
-
-
-class TestDeprecatedAliases:
-    def test_inprocess_client_warns_and_stays_lenient(self):
-        engine = make_engine()
-        with pytest.warns(DeprecationWarning, match="InProcessClient"):
-            client = InProcessClient(engine)
-        # legacy behavior: failures come back as dicts, never raises
-        resp = client.query("s_degree", dataset="nope", s=1, v=0)
-        assert resp["ok"] is False
-        # legacy close never touched the engine
-        client.close()
-        assert engine.execute({"op": "datasets"})["ok"]
-        engine.close()
-
-    def test_service_client_warns_and_stays_lenient(self):
-        engine = make_engine()
-        with AnalyticsServer(engine) as srv:
-            host, port = srv.address
-            with pytest.warns(DeprecationWarning, match="ServiceClient"):
-                client = ServiceClient(host, port)
-            resp = client.query("s_degree", dataset="nope", s=1, v=0)
-            assert resp["ok"] is False
-            client.close()
-        engine.close()
-
-    def test_aliases_are_sessions(self):
-        # code migrating incrementally can type-check against Session
-        assert issubclass(ServiceClient, SocketSession)
-        assert issubclass(InProcessClient, InProcessSession)

@@ -245,11 +245,11 @@ class TestServeAndQuery:
 
     @pytest.fixture
     def live_server(self, mtx):
-        from repro.service import AnalyticsServer, QueryEngine
+        from repro.service import AsyncAnalyticsServer, QueryEngine
 
         engine = QueryEngine()
         engine.store.register("paper", mtx)
-        with AnalyticsServer(engine) as server:
+        with AsyncAnalyticsServer(engine) as server:
             yield server.address
 
     def test_query_round_trip(self, capsys, live_server):
@@ -306,3 +306,50 @@ class TestServeAndQuery:
         host, port = live_server
         with pytest.raises(SystemExit, match="bad query"):
             main(["query", "--connect", f"{host}:{port}", "{not json"])
+
+    def test_serve_frontend_is_async_only(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["serve"]).frontend == "async"
+        args = parser.parse_args(["serve", "--frontend", "async"])
+        assert args.frontend == "async"
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["serve", "--frontend", "threaded"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'threaded'" in capsys.readouterr().err
+
+    def test_serve_runs_the_async_door(self, mtx):
+        """`repro serve` with no --frontend: banner, a query, clean ^C."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        from repro.service import SocketSession
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--dataset", f"paper={mtx}"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            cwd=root,
+        )
+        try:
+            banner = proc.stdout.readline()
+            m = re.search(r"serving .* on ([\d.]+):(\d+)", banner)
+            assert m, banner
+            assert "(frontend=async," in banner
+            with SocketSession(m.group(1), int(m.group(2))) as session:
+                assert session.query("datasets")["result"] == ["paper"]
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
