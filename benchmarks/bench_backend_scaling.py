@@ -1,15 +1,18 @@
 """Real-backend scaling: threaded/process pools vs the simulated loop.
 
 Times the hashmap s-line builder (the hot construction kernel) under all
-three execution backends over a worker grid, asserts the outputs are
-bit-identical, and writes ``BENCH_backend_scaling.json`` at the repo root
-— the artifact CI's backend-smoke job uploads.
+three execution backends over a worker grid, and the ``inline`` build —
+no runtime, the default path: volume-bounded chunks on the shared thread
+pool — asserts every output is bit-identical, and writes
+``BENCH_backend_scaling.json`` at the repo root — the artifact CI's
+backend-smoke job uploads.
 
 Speedup expectations are gated on the host: real scaling needs real
-cores, so the >=2x process-backend assertion only arms when
-``os.cpu_count() >= 4`` (the result JSON always records the host core
-count so a reader can interpret the numbers).  Bit-identity and
-shared-memory cleanup are asserted unconditionally.
+cores, so the >=2x process-backend assertion only arms when the process
+may use at least 4 CPUs (``default_workers()``, which counts the
+affinity mask; the result JSON always records that count so a reader
+can interpret the numbers).  Bit-identity and shared-memory cleanup are
+asserted unconditionally.
 
 Run directly (``python benchmarks/bench_backend_scaling.py``) or through
 pytest (``pytest benchmarks/bench_backend_scaling.py``).
@@ -24,6 +27,7 @@ from pathlib import Path
 
 from repro.io import datasets
 from repro.linegraph import slinegraph_hashmap
+from repro.parallel.backends import default_workers
 from repro.parallel.runtime import ParallelRuntime
 from repro.parallel.shared import debug_verify, shared_stats
 from repro.structures.biadjacency import BiAdjacency
@@ -34,6 +38,17 @@ DATASET = os.environ.get("BENCH_BACKEND_DATASET", "rand1")
 S = 2
 WORKER_GRID = (1, 2, 4)
 REPEATS = 3
+
+
+def _time_inline(h):
+    """Best-of-N wall-clock of the inline build (no runtime)."""
+    best = float("inf")
+    result = None
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        result = slinegraph_hashmap(h, S)
+        best = min(best, (time.perf_counter() - t0) * 1e3)
+    return best, result
 
 
 def _time_build(h, backend: str, workers: int):
@@ -60,7 +75,7 @@ def _time_build(h, backend: str, workers: int):
 
 def run(dataset: str = DATASET) -> dict:
     h = BiAdjacency.from_biedgelist(datasets.load(dataset))
-    cpus = os.cpu_count() or 1
+    cpus = default_workers()
 
     base_ms, base_el, base_span = _time_build(h, "simulated", 1)
     runs = [{
@@ -83,6 +98,16 @@ def run(dataset: str = DATASET) -> dict:
                 "speedup_vs_simulated": round(base_ms / ms, 3) if ms else 0.0,
                 "identical": identical,
             })
+    ms, el = _time_inline(h)
+    identical = el == base_el
+    assert identical, "inline"
+    runs.append({
+        "backend": "inline",
+        "workers": cpus,
+        "best_ms": round(ms, 3),
+        "speedup_vs_simulated": round(base_ms / ms, 3) if ms else 0.0,
+        "identical": identical,
+    })
 
     debug_verify()  # every shm block released
     process_at_4 = next(

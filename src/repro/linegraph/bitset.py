@@ -27,6 +27,8 @@ degree-bucketed dispatcher (:mod:`repro.linegraph.dispatch`).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.parallel.runtime import TaskResult
@@ -36,6 +38,7 @@ from .common import kernel_stats
 
 __all__ = [
     "BitsetOverlapKernel",
+    "EligiblePacking",
     "bitset_overlap_counts",
     "pack_rows",
     "popcount_bytes",
@@ -93,6 +96,38 @@ def bitset_overlap_counts(
     return np.bitwise_count(b & a[None, :]).sum(axis=1, dtype=np.int64)
 
 
+class EligiblePacking:
+    """The packed eligible rows (size ≥ s) of one build, packed once.
+
+    The dense sweep compares each of its rows against every eligible
+    row, so every chunk needs the same packed matrix.  One build's
+    kernels share this holder across chunks and threads: the first
+    chunk with a bitset row packs, the rest reuse it.  A pickled copy
+    (a process-backend task) starts empty and packs for itself.
+    """
+
+    __slots__ = ("_lock", "_packed")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._packed: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __reduce__(self):
+        return (EligiblePacking, ())
+
+    def get(self, edges, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(eligible ids, their packed rows)`` of ``edges`` at ``s``."""
+        with self._lock:
+            if self._packed is None:
+                self._packed = _pack_eligible(edges, s)
+            return self._packed
+
+
+def _pack_eligible(edges, s: int) -> tuple[np.ndarray, np.ndarray]:
+    eligible = np.flatnonzero(np.diff(edges.indptr) >= s).astype(np.int64)
+    return eligible, pack_rows(edges, eligible, edges.num_targets())
+
+
 class BitsetOverlapKernel:
     """Dense s-overlap body: packed-bitset AND + popcount per pair.
 
@@ -109,39 +144,47 @@ class BitsetOverlapKernel:
     :func:`~repro.linegraph.common.finalize_edges`.
     """
 
-    __slots__ = ("edges", "s", "upper_only")
+    __slots__ = ("edges", "s", "upper_only", "packing")
 
     def __init__(self, edges, s: int, upper_only: bool = True) -> None:
         self.edges = edges
         self.s = int(s)
         self.upper_only = bool(upper_only)
+        self.packing = EligiblePacking()
 
     def __call__(self, chunk: np.ndarray) -> TaskResult:
         with open_handles(self.edges) as (edges,):
             src, dst, cnt, stats, work = bitset_rows(
-                edges, chunk, self.s, upper_only=self.upper_only
+                edges, chunk, self.s, upper_only=self.upper_only,
+                packing=self.packing,
             )
             return TaskResult((src, dst, cnt, stats), work)
 
 
 def bitset_rows(
-    edges, chunk: np.ndarray, s: int, upper_only: bool = True
+    edges,
+    chunk: np.ndarray,
+    s: int,
+    upper_only: bool = True,
+    packing: EligiblePacking | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict, float]:
     """The dense sweep body, reusable by the dispatcher's bucket runner.
 
     Returns ``(src, dst, overlap, stats, work)`` with ``work`` counted
     in examined pairs (the ledger currency the other kernels use).
+    ``packing`` shares the packed eligible rows across the calls of one
+    build; without it each call packs its own.
     """
     chunk = np.asarray(chunk, dtype=np.int64)
-    sizes = np.diff(edges.indptr)
-    live = chunk[sizes[chunk] >= s]
-    eligible = np.flatnonzero(sizes >= s).astype(np.int64)
-    n_v = edges.num_targets()
+    live = chunk[edges.indptr[chunk + 1] - edges.indptr[chunk] >= s]
     empty = np.empty(0, dtype=np.int64)
-    if live.size == 0 or eligible.size == 0:
+    if live.size == 0:
         stats = kernel_stats("bitset", rows=int(chunk.size))
         return empty, empty, empty, stats, float(chunk.size)
-    packed_all = pack_rows(edges, eligible, n_v)
+    eligible, packed_all = (
+        _pack_eligible(edges, s) if packing is None
+        else packing.get(edges, s)
+    )
     # chunk rows are a subset of the eligible rows: reuse their packing
     pos = np.searchsorted(eligible, live)
     out_src: list[np.ndarray] = []

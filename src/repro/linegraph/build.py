@@ -57,11 +57,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.obs.tracer import as_tracer
+from repro.parallel.backends import default_workers, inline_pool
 from repro.parallel.runtime import ParallelRuntime, TaskResult
 from repro.parallel.workqueue import ThreadLocalQueues
 from repro.structures.edgelist import EdgeList
 
 from .common import (
+    canonical_pairs,
     emit_kernel_counters,
     finalize_edges,
     merge_kernel_stats,
@@ -191,15 +193,92 @@ def _queue_ids(queue_ids, n: int) -> np.ndarray:
     return ids
 
 
+#: the candidate volume of one inline chunk: Σ_{v∈e} deg(v) over its rows
+#: (the two-hop expansion estimate the dispatcher buckets by), or
+#: Σ (|e| + |f|) over its pair rows
+CHUNK_CANDIDATES = 1 << 20
+
+
+def _id_volume(edges, nodes, ids: np.ndarray) -> np.ndarray:
+    """Running Σ_{v∈e} deg(v) through each hyperedge of ``ids``."""
+    from repro.graph.traversal import multi_slice
+
+    starts = edges.indptr[ids]
+    counts = edges.indptr[ids + 1] - starts
+    members = multi_slice(edges.indices, starts, counts)
+    cum = np.zeros(members.size + 1, dtype=np.int64)
+    np.cumsum(
+        nodes.indptr[members + 1] - nodes.indptr[members], out=cum[1:]
+    )
+    return cum[np.cumsum(counts)]
+
+
+def _pair_volume(edges, pairs: np.ndarray) -> np.ndarray:
+    """Running Σ (|e| + |f|) through each pair row ``(e, f)``."""
+    sizes = edges.indptr[pairs + 1] - edges.indptr[pairs]
+    return np.cumsum(sizes.sum(axis=1))
+
+
+def _cut(items: np.ndarray, volume: np.ndarray) -> list[np.ndarray]:
+    """Split ``items`` into runs whose volume stays within the budget.
+
+    ``volume`` is the running total through each item; an item bigger
+    than the budget is a chunk of its own.  Chunks keep the item order.
+    """
+    bounds = [0]
+    while bounds[-1] < volume.size:
+        start = bounds[-1]
+        base = int(volume[start - 1]) if start else 0
+        end = int(np.searchsorted(volume, base + CHUNK_CANDIDATES, "right"))
+        bounds.append(max(end, start + 1))
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _map_inline(body, items: np.ndarray, volume, n: int) -> list:
+    """The inline walk: ``items`` in chunks bounded by candidate volume.
+
+    Each chunk's count is reduced to canonical ``(src, dst, overlap)``
+    (:func:`canonical_pairs`) inside its task, so only the reduced chunks
+    outlive it; the items are ascending, so the chunks concatenate in
+    order to a canonical list.  More than one chunk runs on the shared
+    thread pool when the process may use more than one CPU.
+    ``volume=None`` walks the items in one call.
+    """
+    chunks = [items] if volume is None else _cut(items, volume) or [items]
+
+    def run(chunk):
+        value = body(chunk).value
+        if len(value) != 4:  # gathered pair rows are already canonical
+            return value
+        src, dst, cnt, stats = value
+        return (*canonical_pairs(src, dst, cnt, n), stats)
+
+    if len(chunks) > 1 and default_workers() > 1:
+        return inline_pool().map(run, chunks)
+    return [run(chunk) for chunk in chunks]
+
+
 def _map(runtime, make_body, shared: tuple, items: np.ndarray, phase: str):
     """One pure kernel phase over ``items`` (IDs, or pair rows).
 
-    Inline it is one call on all of ``items``; on a runtime the items are
-    partitioned (pair rows by row index, each task carrying its own rows)
-    and ``shared`` crosses to the workers through ``runtime.share``.
+    Inline (no runtime) the items are walked in volume-bounded chunks
+    (:func:`_map_inline`); the all-pairs oracle, which gathers no
+    two-hop candidates, runs in one call.  On a runtime the items are
+    partitioned (pair rows by row index, each task carrying its own
+    rows) and ``shared`` crosses to the workers through
+    ``runtime.share``.
     """
     if runtime is None:
-        return [make_body(*shared)(items).value]
+        edges = shared[0]
+        if items.ndim == 2:
+            volume = _pair_volume(edges, items)
+        elif len(shared) == 2:
+            volume = _id_volume(edges, shared[1], items)
+        else:
+            volume = None
+        return _map_inline(
+            make_body(*shared), items, volume, edges.num_vertices()
+        )
     chunks = runtime.partition(items if items.ndim == 1 else items.shape[0])
     if items.ndim == 2:
         chunks = [items[idx] for idx in chunks]
@@ -207,6 +286,25 @@ def _map(runtime, make_body, shared: tuple, items: np.ndarray, phase: str):
         return runtime.parallel_for(
             chunks, make_body(*handles), phase=phase, pure=True
         )
+
+
+def _columns(parts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate the chunks' ``(src, dst, overlap)`` columns.
+
+    One column at a time, dropping each chunk's copy of it as soon as
+    it is joined, so the peak is the result plus one column; ``parts``
+    is emptied.
+    """
+    cols = [[p[k] for p in parts] for k in range(3)]
+    parts.clear()
+    out = []
+    for col in cols:
+        if not col:
+            out.append(np.empty(0, dtype=np.int64))
+        else:
+            out.append(col[0] if len(col) == 1 else np.concatenate(col))
+        col.clear()
+    return out[0], out[1], out[2]
 
 
 def _enqueue_cost(chunk: np.ndarray) -> TaskResult:
@@ -378,12 +476,8 @@ def build_slinegraph(
                         (edges,), pairs, preset.phases[3],
                     )
 
-            empty = np.empty(0, dtype=np.int64)
-            src, dst, cnt = (
-                np.concatenate([p[k] for p in parts]) if parts else empty
-                for k in range(3)
-            )
             stats = merge_kernel_stats(stats_parts + [p[3] for p in parts])
+            src, dst, cnt = _columns(parts)
             candidates = total_candidates(stats)
             c_cand.inc(candidates)
             c_pruned.inc(candidates - src.size)

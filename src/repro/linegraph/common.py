@@ -16,6 +16,7 @@ from repro.structures.edgelist import EdgeList
 
 __all__ = [
     "batch_intersect_counts",
+    "canonical_pairs",
     "empty_linegraph",
     "emit_kernel_counters",
     "filter_overlaps",
@@ -191,6 +192,47 @@ def resolve_incidence(h) -> tuple[CSR, CSR, int, np.ndarray]:
     )
 
 
+def _is_canonical(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
+    """``src < dst`` everywhere and the keys ``src·n + dst`` strictly
+    ascending: the form :func:`finalize_edges` emits."""
+    if src.size == 0:
+        return True
+    if not (src < dst).all():
+        return False
+    key = src * n + dst
+    return bool((key[1:] > key[:-1]).all())
+
+
+def canonical_pairs(
+    src: np.ndarray,
+    dst: np.ndarray,
+    counts: np.ndarray | None,
+    num_hyperedges: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(src, dst, counts)`` with ``src < dst``, sorted, deduplicated.
+
+    Self-pairs are dropped.  Duplicates must agree on their count (they
+    always do — overlap is a function of the pair), so first-wins dedup
+    is safe.  Input already in that form — what the upper-half kernels
+    emit — is returned as it is after one vectorised check, with no sort.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if _is_canonical(src, dst, num_hyperedges):
+        return src, dst, counts
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    keep = lo != hi
+    lo, hi = lo[keep], hi[keep]
+    counts = None if counts is None else np.asarray(counts)[keep]
+    if lo.size:
+        key = lo * num_hyperedges + hi
+        uniq, first = np.unique(key, return_index=True)
+        lo, hi = uniq // num_hyperedges, uniq % num_hyperedges
+        counts = None if counts is None else counts[first]
+    return lo, hi, counts
+
+
 def finalize_edges(
     src: np.ndarray,
     dst: np.ndarray,
@@ -199,22 +241,11 @@ def finalize_edges(
 ) -> EdgeList:
     """Canonical s-line edge list: ``src < dst``, sorted, deduplicated.
 
-    ``counts`` (overlap sizes) become weights; duplicates must agree on
-    their count (they always do — overlap is a function of the pair), so
-    first-wins dedup is safe.
+    ``counts`` (overlap sizes) become weights; see
+    :func:`canonical_pairs` for the rules.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    keep = lo != hi
-    lo, hi = lo[keep], hi[keep]
-    w = None if counts is None else np.asarray(counts, np.float64)[keep]
-    if lo.size:
-        key = lo * num_hyperedges + hi
-        uniq, first = np.unique(key, return_index=True)
-        lo, hi = uniq // num_hyperedges, uniq % num_hyperedges
-        w = None if w is None else w[first]
+    lo, hi, w = canonical_pairs(src, dst, counts, num_hyperedges)
+    w = None if w is None else np.asarray(w, np.float64)
     return EdgeList(lo, hi, w, num_vertices=num_hyperedges)
 
 
@@ -429,13 +460,17 @@ def two_hop_pair_counts(
         return empty, empty, empty, work
     n = edges.num_vertices()
     key = _pair_keys(e_for_member, m_sizes, cand, n)
+    del cand  # drop each stage's input once the next one is built
     key.sort()
     head = np.empty(key.size, dtype=bool)
     head[0] = True
     np.not_equal(key[1:], key[:-1], out=head[1:])
     first = np.flatnonzero(head)
+    del head
     counts = np.diff(first, append=key.size)
-    src, dst = _split_keys(key[first], n)
+    key = key[first]
+    del first
+    src, dst = _split_keys(key, n)
     return src, dst, counts, work
 
 

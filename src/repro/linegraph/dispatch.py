@@ -36,7 +36,7 @@ import numpy as np
 from repro.parallel.runtime import TaskResult
 from repro.parallel.shared import open_handles
 
-from .bitset import BitsetOverlapKernel, bitset_rows
+from .bitset import BitsetOverlapKernel, EligiblePacking, bitset_rows
 from .common import (
     batch_intersect_counts,
     kernel_stats,
@@ -245,6 +245,7 @@ def adaptive_rows(
     upper_only: bool = True,
     policy: DispatchPolicy = _DEFAULT_POLICY,
     force: str | None = None,
+    packing: EligiblePacking | None = None,
 ):
     """Bucket a chunk and run the chosen body per bucket.
 
@@ -252,7 +253,8 @@ def adaptive_rows(
     stats dict gains one entry per family used plus, unless ``force``
     pins one family (no bucketing then runs), a ``"dispatch"`` entry
     whose ``tasks`` counts buckets (so the bucket table is
-    reconstructible from counters alone).
+    reconstructible from counters alone).  ``packing`` is handed to the
+    bitset bucket (see :func:`~repro.linegraph.bitset.bitset_rows`).
     """
     chunk = np.asarray(chunk, dtype=np.int64)
     forced = force is not None and force != "auto"
@@ -270,7 +272,7 @@ def adaptive_rows(
     for name, ids in buckets:
         if name == "bitset":
             src, dst, cnt, stats, w = bitset_rows(
-                edges, ids, s, upper_only=upper_only
+                edges, ids, s, upper_only=upper_only, packing=packing
             )
         elif name == "intersection":
             src, dst, cnt, stats, w = _intersection_rows(
@@ -310,7 +312,9 @@ class AdaptiveKernel:
     ``kernel="hashmap"``/``"intersection"``/``"naive"`` are served.
     """
 
-    __slots__ = ("edges", "nodes", "s", "upper_only", "policy", "force")
+    __slots__ = (
+        "edges", "nodes", "s", "upper_only", "policy", "force", "packing"
+    )
 
     def __init__(
         self,
@@ -327,6 +331,7 @@ class AdaptiveKernel:
         self.upper_only = bool(upper_only)
         self.policy = policy
         self.force = force
+        self.packing = EligiblePacking()
 
     def __call__(self, chunk: np.ndarray) -> TaskResult:
         with open_handles(self.edges, self.nodes) as (edges, nodes):
@@ -338,6 +343,7 @@ class AdaptiveKernel:
                 upper_only=self.upper_only,
                 policy=self.policy,
                 force=self.force,
+                packing=self.packing,
             )
             return TaskResult((src, dst, cnt, stats), work)
 

@@ -44,5 +44,9 @@ def slinegraph_matrix(
 
         bw = incidence_matrix(h, weighted=True)
         prod = sp.csr_matrix(bw.T @ bw)
-        data = np.asarray(prod[rows, cols]).ravel()
+        # fancy indexing with no pairs returns a 1x0 sparse matrix
+        data = (
+            np.asarray(prod[rows, cols]).ravel() if rows.size
+            else np.empty(0, dtype=np.float64)
+        )
     return finalize_edges(rows, cols, data, n)

@@ -19,6 +19,7 @@ from .backends import (
     SimulatedBackend,
     ThreadedBackend,
     default_workers,
+    inline_pool,
     make_backend,
 )
 from .cost import CostModel, PhaseLedger, RunLedger
@@ -27,7 +28,6 @@ from .runtime import ParallelRuntime, TaskResult
 from .scheduler import StaticScheduler, WorkStealingScheduler, make_scheduler
 from .shared import SharedArray, SharedCSR, open_handles, shared_stats
 from .shared import debug_verify as shared_debug_verify
-from .threads import ThreadedMap, thread_map
 from .trace import chrome_trace_events, export_chrome_trace
 from .workqueue import ThreadLocalQueues, WorkQueue
 
@@ -44,7 +44,6 @@ __all__ = [
     "SimulatedBackend",
     "StaticScheduler",
     "ThreadedBackend",
-    "ThreadedMap",
     "TaskResult",
     "ThreadLocalQueues",
     "WorkQueue",
@@ -57,11 +56,11 @@ __all__ = [
     "default_workers",
     "export_chrome_trace",
     "fetch_or",
+    "inline_pool",
     "make_backend",
     "open_handles",
     "shared_debug_verify",
     "shared_stats",
-    "thread_map",
     "make_scheduler",
     "write_max",
     "write_min",

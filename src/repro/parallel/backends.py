@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
     "SimulatedBackend",
     "ThreadedBackend",
     "default_workers",
+    "inline_pool",
     "make_backend",
 ]
 
@@ -56,8 +58,16 @@ def _registry() -> dict:
 
 
 def default_workers(bound: int = 32) -> int:
-    """Bounded ``os.cpu_count()`` — the pool size real backends default to."""
-    return max(1, min(int(bound), os.cpu_count() or 1))
+    """The CPUs this process may run on, bounded — the pool size real
+    backends default to.
+
+    Counts the affinity mask (``os.sched_getaffinity``), so a process
+    pinned by ``taskset`` or a cpuset does not oversubscribe; where the
+    platform has no affinity call, ``os.cpu_count()``.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(getaffinity(0)) if getaffinity else os.cpu_count()
+    return max(1, min(int(bound), cpus or 1))
 
 
 class ExecutionBackend:
@@ -190,6 +200,34 @@ class ThreadedBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+
+
+_INLINE_POOL: ThreadedBackend | None = None
+_INLINE_LOCK = threading.Lock()
+
+
+def inline_pool() -> ThreadedBackend:
+    """The process-wide thread pool of the inline s-line build.
+
+    Created on first use with :func:`default_workers` threads and shared
+    by every caller; a forked child starts without one (the parent's
+    worker threads do not survive the fork) and makes its own.
+    """
+    global _INLINE_POOL
+    with _INLINE_LOCK:
+        if _INLINE_POOL is None:
+            _INLINE_POOL = ThreadedBackend(default_workers())
+        return _INLINE_POOL
+
+
+def _forget_inline_pool() -> None:
+    global _INLINE_POOL, _INLINE_LOCK
+    _INLINE_POOL = None
+    _INLINE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_inline_pool)
 
 
 def _run_remote(payload: bytes) -> Any:

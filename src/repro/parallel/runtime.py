@@ -102,8 +102,9 @@ class ParallelRuntime:
         them).  The ``REPRO_BACKEND`` environment variable overrides the
         default when no explicit backend is passed.
     workers:
-        Real pool size for ``'threaded'``/``'process'`` (defaults to a
-        bounded ``os.cpu_count()``; independent of the *simulated*
+        Real pool size for ``'threaded'``/``'process'`` (defaults to
+        :func:`~repro.parallel.backends.default_workers`, the CPUs the
+        process may use; independent of the *simulated*
         ``num_threads``, which stays the cost-model x-axis).
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`; pure phases then

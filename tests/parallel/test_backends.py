@@ -1,5 +1,6 @@
 """Execution backends: shared-memory transport, pools, runtime routing."""
 
+import os
 import pickle
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.parallel import (
     SimulatedBackend,
     ThreadedBackend,
     default_workers,
+    inline_pool,
     make_backend,
     open_handles,
     shared_debug_verify,
@@ -99,6 +101,29 @@ class TestMakeBackend:
     def test_default_workers_bounded(self):
         assert 1 <= default_workers() <= 32
         assert default_workers(bound=2) <= 2
+
+    def test_default_workers_counts_affinity(self, monkeypatch):
+        # a process pinned to two of 64 CPUs sizes its pools to two
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert default_workers() == 2
+        assert default_workers(bound=1) == 1
+
+    def test_default_workers_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_workers() == 3
+        assert default_workers(bound=2) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_workers() == 1
+
+    def test_inline_pool_is_shared(self):
+        pool = inline_pool()
+        assert pool is inline_pool()
+        assert pool.name == "threaded"
+        assert pool.workers == default_workers()
 
 
 # ---- execution order and monitor brackets -----------------------------------

@@ -1,41 +1,54 @@
-"""Real thread-pool executor tests."""
+"""The real thread pool: ``ThreadedBackend.map`` and the threaded preset."""
 
 import numpy as np
 import pytest
 
-from repro.parallel.threads import ThreadedMap, thread_map
+from repro.parallel import ThreadedBackend
 
 
 class TestThreadedMap:
+    """``ThreadedBackend.map`` runs pure bodies concurrently, in order."""
+
     def test_results_in_order(self):
         chunks = [np.arange(i, i + 3) for i in range(10)]
-        out = ThreadedMap(4).map(lambda c: int(c.sum()), chunks)
+        with ThreadedBackend(4) as be:
+            out = be.map(lambda c: int(c.sum()), chunks)
         assert out == [int(c.sum()) for c in chunks]
 
     def test_single_chunk_no_pool(self):
-        assert ThreadedMap(4).map(lambda c: c * 2, [21]) == [42]
+        be = ThreadedBackend(4)
+        assert be.map(lambda c: c * 2, [21]) == [42]
+        assert be._pool is None  # one chunk runs on the calling thread
 
     def test_single_worker(self):
-        assert ThreadedMap(1).map(lambda c: c + 1, [1, 2, 3]) == [2, 3, 4]
+        be = ThreadedBackend(1)
+        assert be.map(lambda c: c + 1, [1, 2, 3]) == [2, 3, 4]
+        assert be._pool is None
 
     def test_empty(self):
-        assert ThreadedMap(2).map(lambda c: c, []) == []
+        with ThreadedBackend(2) as be:
+            assert be.map(lambda c: c, []) == []
 
     def test_exception_propagates(self):
+        settled = []
+
         def bad(c):
             if c == 3:
                 raise RuntimeError("boom")
+            settled.append(c)
             return c
 
-        with pytest.raises(RuntimeError, match="boom"):
-            ThreadedMap(2).map(bad, list(range(8)))
+        with ThreadedBackend(2) as be:
+            with pytest.raises(RuntimeError, match="boom"):
+                be.map(bad, list(range(8)))
+        # every other chunk ran to completion before the error surfaced
+        assert sorted(settled) == [0, 1, 2, 4, 5, 6, 7]
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            ThreadedMap(0)
+    def test_validation(self, paper_h):
+        from repro.linegraph import to_two_graph
 
-    def test_convenience_wrapper(self):
-        assert thread_map(lambda x: -x, [1, 2], num_workers=2) == [-1, -2]
+        with pytest.raises(ValueError, match="workers must be positive"):
+            to_two_graph(paper_h, 1, backend="threaded", workers=0)
 
 
 class TestThreadedConstruction:
