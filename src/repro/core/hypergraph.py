@@ -184,7 +184,7 @@ class NWHypergraph:
         weighted entries always rebuild (the mutation vocabulary is
         unweighted).
         """
-        from repro.dynamic.incremental import patch_with_builder
+        from repro.dynamic.incremental import builder_delta, splice_rows
         from repro.dynamic.policy import (
             DEFAULT_PATCH_THRESHOLD,
             decide_patch_or_rebuild,
@@ -208,8 +208,8 @@ class NWHypergraph:
             how = decide_patch_or_rebuild(len(dirty), n, threshold)
             if (
                 weighted
-                or lg.edgelist.weights is None
-                or n < lg.edgelist.num_vertices()
+                or lg.graph.weights is None
+                or n < lg.num_vertices()
             ):
                 how = "rebuild"
             if how == "patch":
@@ -223,12 +223,12 @@ class NWHypergraph:
                     if algorithm in ("queue_hashmap", "queue_intersection")
                     else "queue_hashmap"
                 )
-                el = patch_with_builder(
-                    lg.edgelist, h, sorted(dirty), s,
+                delta = builder_delta(
+                    h, dirty, s,
                     algorithm=algo, tracer=tracer, metrics=metrics,
                 )
-                self._slg_memo[key] = SLineGraph(
-                    el, s=s, over_edges=over_edges
+                self._slg_memo[key] = SLineGraph.from_csr(
+                    splice_rows(lg.graph, dirty, delta), s, over_edges
                 )
             outcomes[key] = how
         return outcomes
@@ -625,7 +625,7 @@ class NWHypergraph:
         for (s2, oe, _, w), lg in self._slg_memo.items():
             if (
                 oe == over_edges and not w and s2 <= s
-                and lg.edgelist.weights is not None
+                and lg.graph.weights is not None
                 and (best is None or s2 > best.s)
             ):
                 best = lg

@@ -33,9 +33,9 @@ from repro.graph.paths import (
     harmonic_closeness_centrality,
 )
 from repro.graph.sssp import dijkstra
-from repro.linegraph.common import filter_overlaps
+from repro.linegraph.common import upper_bounds
 from repro.parallel.runtime import ParallelRuntime
-from repro.structures.csr import CSR
+from repro.structures.csr import CSR, upper_mask
 from repro.structures.edgelist import EdgeList
 
 __all__ = ["SLineGraph"]
@@ -47,22 +47,75 @@ class SLineGraph:
     def __init__(self, el: EdgeList, s: int, over_edges: bool = True) -> None:
         self.s = int(s)
         self.over_edges = bool(over_edges)
-        self.edgelist = el
         self.graph = CSR.from_undirected(el)
+
+    @classmethod
+    def from_csr(
+        cls, graph: CSR, s: int, over_edges: bool = True
+    ) -> "SLineGraph":
+        """Adopt a symmetric CSR as ``L_s`` (trusted; nothing is checked).
+
+        The construction path of :meth:`derive`, the incremental patch
+        (:mod:`repro.dynamic.incremental`) and store recovery: ``graph``
+        must hold every edge in both directions, rows sorted, with the
+        overlap counts aligned with ``indices``.
+        """
+        out = cls.__new__(cls)
+        out.s = int(s)
+        out.over_edges = bool(over_edges)
+        out.graph = graph
+        return out
+
+    @property
+    def edgelist(self) -> EdgeList:
+        """The upper edge list: entries of :attr:`graph` with ``index > row``.
+
+        Computed from the CSR on each access (nothing is cached), so it
+        is canonical — ``src < dst``, sorted by ``(src, dst)`` — and
+        equals, array for array, the list a builder emits.  Each sorted
+        row's upper entries are its tail, found by one bisection per row.
+        """
+        g = self.graph
+        n = g.num_vertices()
+        rows = np.arange(n, dtype=np.int64)
+        first = upper_bounds(g.indices, g.indptr[:-1], g.indptr[1:], rows)
+        up = g.indptr[1:] - first
+        is_upper = upper_mask(first - g.indptr[:-1], up)
+        return EdgeList(
+            np.repeat(rows, up),
+            g.indices[is_upper],
+            None if g.weights is None else g.weights[is_upper],
+            num_vertices=n,
+        )
 
     def derive(self, s: int) -> "SLineGraph":
         """``L_s`` from this ``L_{s'}`` (``s' <= s``) without recounting.
 
         The s-line graphs are monotone in s with identical overlap
-        weights on the surviving pairs, so thresholding this graph's
-        overlap counts (:func:`~repro.linegraph.common.filter_overlaps`)
-        gives exactly what a fresh count would.  Raises ``ValueError``
-        when ``s < self.s`` or the edge list carries no overlap counts.
+        weights on the surviving pairs, so masking this graph's entries
+        by ``overlap >= s`` gives exactly what a fresh count would; each
+        row's survivors stay in place, so the new ``indptr`` is the
+        running survivor count at the old row bounds.  Raises
+        ``ValueError`` when ``s < self.s`` or the graph carries no
+        overlap counts.
         """
         if s < self.s:
             raise ValueError(f"cannot derive s={s} from s={self.s}")
-        return SLineGraph(
-            filter_overlaps(self.edgelist, s), s, self.over_edges
+        g = self.graph
+        if g.weights is None:
+            raise ValueError("deriving requires overlap counts as weights")
+        keep = g.weights >= s
+        survivors = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=survivors[1:])
+        return SLineGraph.from_csr(
+            CSR.adopt(
+                survivors[g.indptr],
+                g.indices[keep],
+                g.weights[keep],
+                num_targets=g.num_targets(),
+            ),
+            s,
+            self.over_edges,
         )
 
     # -- structure -----------------------------------------------------------
@@ -72,7 +125,7 @@ class SLineGraph:
 
     def num_edges(self) -> int:
         """Number of undirected s-line edges."""
-        return self.edgelist.num_edges()
+        return self.graph.num_edges() // 2
 
     def s_neighbors(self, v: int) -> np.ndarray:
         """Hyperedges sharing ≥ s hypernodes with ``v`` (Listing 5)."""

@@ -9,24 +9,27 @@ range.  Seeding the queue with the delta frontier — the dirty hyperedges
 plus the neighbors they reach through shared vertices — computes the
 changed overlap counts without touching the rest of the graph.
 
-Two equivalent paths are provided:
+The recounted pairs are spliced into the rows of the cached symmetric
+CSR (:func:`splice_rows`); two equivalent recounts feed it:
 
-* :func:`delta_pair_counts` / :func:`patch_linegraph` — the overlay
-  path.  Runs the queue-hashmap counting step (two-hop walk + packed-key
-  multiplicity count) directly over an
-  :class:`~repro.dynamic.overlay.OverlayState`, so no CSR of the mutated
-  state is ever materialized.  This is what the service's ``update`` op
-  uses.
-* :func:`patch_with_builder` — the frozen-CSR path.  Literally calls the
+* :func:`delta_pair_counts` — the overlay path.  Runs the queue-hashmap
+  counting step (two-hop walk + packed-key multiplicity count) directly
+  over an :class:`~repro.dynamic.overlay.OverlayState`, so no CSR of the
+  mutated state is ever materialized.  :func:`patch_slinegraph` — what
+  the service's ``update`` op, warm-restart roll-forward and
+  :class:`IncrementalSLineGraph` use — runs it.
+* :func:`builder_delta` — the frozen-CSR path.  Literally calls the
   stock queue-based builders (``queue_hashmap`` / ``queue_intersection``)
   with ``queue_ids`` set to the delta frontier, for callers that already
   hold a rebuilt :class:`~repro.structures.biadjacency.BiAdjacency`
   (``NWHypergraph.refresh_linegraphs``).
 
-Both produce the canonical weighted edge list of
+Both canonicalize their pairs with
 :func:`repro.linegraph.common.finalize_edges`, so patched graphs remain
 bit-identical to from-scratch rebuilds — the property the test suite
 enforces — and keep riding the cache's s-monotone derive path.
+:func:`patch_linegraph` and :func:`patch_with_builder` are the two
+paths' edge-list faces, for callers holding a list.
 """
 
 from __future__ import annotations
@@ -34,18 +37,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.slinegraph import SLineGraph
-from repro.linegraph.common import finalize_edges
+from repro.linegraph.common import finalize_edges, upper_bounds
+from repro.structures.csr import CSR
 from repro.structures.edgelist import EdgeList
 
 from .policy import DEFAULT_PATCH_THRESHOLD, decide_patch_or_rebuild
 
 __all__ = [
     "IncrementalSLineGraph",
+    "builder_delta",
     "delta_frontier",
     "delta_pair_counts",
     "patch_linegraph",
     "patch_slinegraph",
     "patch_with_builder",
+    "splice_rows",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -123,6 +129,101 @@ def delta_frontier(state, dirty_ids) -> np.ndarray:
     return np.union1d(dirty, np.union1d(src, dst))
 
 
+def splice_rows(graph: CSR, dirty_ids, delta: EdgeList) -> CSR:
+    """``graph`` with the rows of ``dirty`` replaced by ``delta``'s pairs.
+
+    ``graph`` is a symmetric s-line CSR (sorted rows, overlap counts as
+    weights) and ``delta`` the canonical recounted pairs
+    (:func:`~repro.linegraph.common.finalize_edges`) over the current
+    vertex space, each with an endpoint in ``dirty_ids``.  The splice
+    grows ``indptr`` for new IDs, drops every dirty row and every entry
+    whose column is dirty (found by bisecting each neighbour's row, not
+    by a pass over all entries; the compaction is skipped when nothing
+    drops), then mirrors the delta and inserts it at per-row
+    binary-searched positions with one ``np.insert`` per array.  No pair that survives
+    is re-sorted, so the cost is O(nnz) copying plus the delta.
+    """
+    n = delta.num_vertices()
+    n0 = graph.num_vertices()
+    if n < n0:
+        raise ValueError(
+            "hyperedge space shrank; dynamic updates tombstone IDs, they "
+            "never renumber"
+        )
+    dirty = _dirty_array(dirty_ids)
+    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    if n > n0:
+        indptr = np.concatenate(
+            [indptr, np.full(n - n0, indptr[-1], dtype=indptr.dtype)]
+        )
+    rows = dirty[dirty < n0]
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    total = int(counts.sum())
+    if total:
+        # every entry (r, c) of a dirty row r has its mirror (c, r) in row
+        # c, at the last position <= r of that sorted row
+        ends = np.cumsum(counts)
+        at = np.repeat(starts - ends + counts, counts)
+        at += np.arange(total, dtype=np.int64)
+        cols = indices[at]
+        mirror = upper_bounds(
+            indices, indptr[cols], indptr[cols + 1], np.repeat(rows, counts)
+        ) - 1
+        keep = np.ones(indices.size, dtype=bool)
+        keep[at] = False
+        keep[mirror] = False
+        survivors = np.zeros(indices.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=survivors[1:])
+        indptr = survivors[indptr]
+        indices = indices[keep]
+        weights = weights[keep]
+    if len(delta):
+        src = np.concatenate([delta.src, delta.dst])
+        dst = np.concatenate([delta.dst, delta.src])
+        w = np.concatenate([delta.weights, delta.weights])
+        order = np.lexsort((dst, src))
+        src, dst, w = src[order], dst[order], w[order]
+        at = upper_bounds(indices, indptr[src], indptr[src + 1], dst)
+        indices = np.insert(indices, at, dst)
+        weights = np.insert(weights, at, w)
+        grown = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=grown[1:])
+        indptr = indptr + grown
+    return CSR.adopt(indptr, indices, weights, num_targets=n)
+
+
+def _patch_graph(graph: CSR, state, dirty_ids, s: int, tracer, metrics):
+    """Recount the dirty pairs against ``state`` and splice them in."""
+    from repro.obs.metrics import as_metrics
+    from repro.obs.tracer import as_tracer
+
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if graph.weights is None:
+        raise ValueError(
+            "patching requires overlap counts as edge weights on the old "
+            "s-line graph"
+        )
+    dirty = _dirty_array(dirty_ids)
+    n = int(state.num_edges())
+    tr = as_tracer(tracer)
+    m = as_metrics(metrics)
+    with tr.span("dynamic.patch", s=s, dirty=int(dirty.size)) as span:
+        src, dst, counts, work = delta_pair_counts(state, dirty)
+        live = counts >= s
+        delta = finalize_edges(src[live], dst[live], counts[live], n)
+        out = splice_rows(graph, dirty, delta)
+        span.set(
+            dropped=(graph.num_edges() - out.num_edges()) // 2 + len(delta),
+            emitted=int(live.sum()),
+            work=work,
+        )
+        m.counter("dynamic_patched_pairs_total").inc(int(live.sum()))
+        m.counter("dynamic_patch_work_total").inc(work)
+    return out
+
+
 def patch_linegraph(
     old_el: EdgeList,
     state,
@@ -134,82 +235,98 @@ def patch_linegraph(
 ) -> EdgeList:
     """Patch a canonical s-line edge list against the current state.
 
-    Drops every old edge with a dirty endpoint, recounts exactly the
-    dirty pairs with the queue-hashmap counting step, and merges them
-    back in (:func:`_merge_patch`), so the cost is O(nnz) plus the
-    delta, not a re-sort.  ``old_el`` must be canonical and carry
-    overlap counts as weights (every unweighted construction algorithm
-    emits both) — patching a weight-less list
-    would silently break the cache's s-monotone derive path, so it raises
-    instead.
+    The edge-list face of :func:`patch_slinegraph`: ``old_el`` is
+    indexed into its symmetric CSR, the dirty pairs are recounted with
+    the queue-hashmap counting step and spliced in (:func:`splice_rows`),
+    and the upper view of the result is returned.  ``old_el`` must be
+    canonical and carry overlap counts as weights (every unweighted
+    construction algorithm emits both) — patching a weight-less list
+    would silently break the cache's s-monotone derive path, so it
+    raises instead.
     """
-    from repro.obs.metrics import as_metrics
-    from repro.obs.tracer import as_tracer
-
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if old_el.weights is None:
-        raise ValueError(
-            "patching requires overlap counts as edge weights on the old "
-            "s-line edge list"
-        )
-    dirty = _dirty_array(dirty_ids)
-    n = int(state.num_edges())
-    if n < old_el.num_vertices():
-        raise ValueError(
-            "hyperedge space shrank; dynamic updates tombstone IDs, they "
-            "never renumber"
-        )
-    tr = as_tracer(tracer)
-    m = as_metrics(metrics)
-    with tr.span("dynamic.patch", s=s, dirty=int(dirty.size)) as span:
-        clean = _clean_mask(old_el, dirty, n)
-        src, dst, counts, work = delta_pair_counts(state, dirty)
-        live = counts >= s
-        out = _merge_patch(old_el, clean, src[live], dst[live], counts[live], n)
-        span.set(
-            dropped=int((~clean).sum()), emitted=int(live.sum()), work=work
-        )
-        m.counter("dynamic_patched_pairs_total").inc(int(live.sum()))
-        m.counter("dynamic_patch_work_total").inc(work)
-    return out
+    graph = _patch_graph(
+        SLineGraph(old_el, s).graph, state, dirty_ids, s, tracer, metrics
+    )
+    return SLineGraph.from_csr(graph, s).edgelist
 
 
 def patch_slinegraph(
-    old_el: EdgeList,
+    old: SLineGraph,
     state,
     dirty_ids,
-    s: int,
-    over_edges: bool = True,
     *,
     threshold: float = DEFAULT_PATCH_THRESHOLD,
     tracer=None,
     metrics=None,
 ) -> SLineGraph | None:
-    """Decide, patch and materialize: the patched ``L_s``, or ``None``.
+    """Decide and splice: the patched ``L_s``, or ``None``.
 
-    The one decide → :func:`patch_linegraph` → :class:`SLineGraph` step
-    every maintainer shares (the service's ``update`` op, warm-restart
+    The one decide → recount → :func:`splice_rows` step every
+    maintainer shares (the service's ``update`` op, warm-restart
     roll-forward, :class:`IncrementalSLineGraph`).  ``state`` is the
     side's overlay view (``dyn.state`` or ``dyn.state.dual()``) and
-    ``dirty_ids`` the IDs of that side touched since ``old_el`` was
+    ``dirty_ids`` the IDs of that side touched since ``old`` was
     current — one batch's delta or the union of many, since a pair with
     no dirty endpoint keeps its member sets and so its overlap.
     ``None`` means the caller must not patch: the policy
     (:func:`~repro.dynamic.policy.decide_patch_or_rebuild`) prefers a
-    rebuild, or ``old_el`` carries no overlap weights.
+    rebuild, or ``old`` carries no overlap weights.
     """
     if decide_patch_or_rebuild(
         len(dirty_ids), state.num_edges(), threshold
     ) != "patch":
         return None
     try:
-        el = patch_linegraph(
-            old_el, state, dirty_ids, s, tracer=tracer, metrics=metrics
+        graph = _patch_graph(
+            old.graph, state, dirty_ids, old.s, tracer, metrics
         )
     except ValueError:
         return None
-    return SLineGraph(el, s=s, over_edges=over_edges)
+    return SLineGraph.from_csr(graph, old.s, old.over_edges)
+
+
+def builder_delta(
+    h,
+    dirty_ids,
+    s: int,
+    *,
+    algorithm: str = "queue_hashmap",
+    runtime=None,
+    tracer=None,
+    metrics=None,
+) -> EdgeList:
+    """The recounted pairs with a dirty endpoint, by a stock queue builder.
+
+    ``h`` is a ``BiAdjacency`` or ``AdjoinGraph`` of the *post-mutation*
+    state.  The builder is seeded with the delta frontier
+    (:func:`delta_frontier` computed on ``h``); of its canonical output
+    only the pairs touching a dirty ID are kept — the clean–clean pairs
+    it also covers are unchanged in the old graph.
+    """
+    from repro.linegraph import PRESETS, to_two_graph
+    from repro.linegraph.common import resolve_incidence
+
+    queued = sorted(
+        name for name, p in PRESETS.items() if p.shape in ("queue", "pairs")
+    )
+    if algorithm not in queued:
+        raise ValueError(f"patching supports {queued}, not {algorithm!r}")
+    dirty = _dirty_array(dirty_ids)
+    edges, nodes, n_e, _ = resolve_incidence(h)
+    frontier = delta_frontier(_csr_adapter(edges, nodes, n_e), dirty)
+    delta = to_two_graph(
+        h, s, algorithm, runtime=runtime, queue_ids=frontier,
+        tracer=tracer, metrics=metrics,
+    )
+    is_dirty = np.zeros(n_e, dtype=bool)
+    is_dirty[dirty[dirty < n_e]] = True
+    touched = is_dirty[delta.src] | is_dirty[delta.dst]
+    return EdgeList(
+        delta.src[touched],
+        delta.dst[touched],
+        delta.weights[touched],
+        num_vertices=n_e,
+    )
 
 
 def patch_with_builder(
@@ -225,77 +342,21 @@ def patch_with_builder(
 ) -> EdgeList:
     """Patch using the stock queue-based builders on a frozen representation.
 
-    ``h`` is a ``BiAdjacency`` or ``AdjoinGraph`` of the *post-mutation*
-    state.  The builder is seeded with the delta frontier
-    (:func:`delta_frontier` computed on ``h``); of its output only the
-    rows touching a dirty ID are taken — the clean–clean rows it also
-    covers are already present, unchanged, in ``old_el``.
+    The edge-list face of the frozen-CSR path: :func:`builder_delta`
+    spliced into ``old_el``'s symmetric CSR (:func:`splice_rows`), the
+    upper view returned.  ``old_el`` must carry overlap counts.
     """
-    from repro.linegraph import PRESETS, to_two_graph
-    from repro.linegraph.common import resolve_incidence
-
-    queued = sorted(
-        name for name, p in PRESETS.items() if p.shape in ("queue", "pairs")
-    )
-    if algorithm not in queued:
-        raise ValueError(f"patching supports {queued}, not {algorithm!r}")
     if old_el.weights is None:
         raise ValueError(
             "patching requires overlap counts as edge weights on the old "
             "s-line edge list"
         )
-    dirty = _dirty_array(dirty_ids)
-    edges, nodes, n_e, _ = resolve_incidence(h)
-    adapter = _csr_adapter(edges, nodes, n_e)
-    frontier = delta_frontier(adapter, dirty)
-    delta = to_two_graph(
-        h, s, algorithm, runtime=runtime, queue_ids=frontier,
+    delta = builder_delta(
+        h, dirty_ids, s, algorithm=algorithm, runtime=runtime,
         tracer=tracer, metrics=metrics,
     )
-    touched = ~_clean_mask(delta, dirty, n_e)
-    return _merge_patch(
-        old_el,
-        _clean_mask(old_el, dirty, n_e),
-        delta.src[touched],
-        delta.dst[touched],
-        delta.weights[touched],
-        n_e,
-    )
-
-
-def _clean_mask(el: EdgeList, dirty: np.ndarray, n: int) -> np.ndarray:
-    """Edges of ``el`` (IDs below ``n``) with no endpoint in ``dirty``."""
-    is_dirty = np.zeros(n, dtype=bool)
-    is_dirty[dirty[dirty < n]] = True
-    return ~(is_dirty[el.src] | is_dirty[el.dst])
-
-
-def _merge_patch(
-    old_el: EdgeList,
-    clean: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    counts: np.ndarray,
-    n: int,
-) -> EdgeList:
-    """``old_el``'s clean edges plus the recounted pairs, canonical.
-
-    Equal to :func:`~repro.linegraph.common.finalize_edges` over the
-    concatenation, without re-sorting the whole list: the clean edges
-    are canonical already and share no pair with the recounted ones
-    (every recounted pair has a dirty endpoint), so only the recounted
-    pairs are canonicalized, then inserted at their binary-searched
-    positions.
-    """
-    delta = finalize_edges(src, dst, counts, n)
-    keep_src, keep_dst = old_el.src[clean], old_el.dst[clean]
-    at = np.searchsorted(keep_src * n + keep_dst, delta.src * n + delta.dst)
-    return EdgeList(
-        np.insert(keep_src, at, delta.src),
-        np.insert(keep_dst, at, delta.dst),
-        np.insert(old_el.weights[clean], at, delta.weights),
-        num_vertices=n,
-    )
+    graph = splice_rows(SLineGraph(old_el, s).graph, dirty_ids, delta)
+    return SLineGraph.from_csr(graph, s).edgelist
 
 
 class _csr_adapter:
@@ -420,8 +481,7 @@ class IncrementalSLineGraph:
         outcomes: dict[int, str] = {}
         for s in self.s_values:
             lg = patch_slinegraph(
-                self._graphs[s].edgelist, state, dirty, s, self.over_edges,
-                threshold=self.threshold,
+                self._graphs[s], state, dirty, threshold=self.threshold,
                 tracer=self._tracer, metrics=self._metrics,
             )
             how = "rebuild" if lg is None else "patch"

@@ -12,7 +12,8 @@ into a bit vector of ``⌈n_v/64⌉`` uint64 words, and ``|e ∩ f|`` becomes
 a bitwise AND plus a popcount — ``n_v/64`` word operations per pair,
 branchless, no sorting, no hashing.
 
-Packing uses ``np.packbits`` over a boolean row matrix.  The AND runs
+Packing sets each member's bit straight into the packed bytes
+(``np.bitwise_or.at``), never a dense row matrix.  The AND runs
 on the uint64 view of the packed rows, so the inner loop moves 8 bytes
 per operation, and ``np.bitwise_count`` (numpy >= 2.0) pops each AND-ed
 word in place before one row reduction.
@@ -65,14 +66,13 @@ def pack_rows(csr, ids: np.ndarray, num_targets: int) -> np.ndarray:
     from repro.graph.traversal import multi_slice
 
     members = multi_slice(csr.indices, starts, counts)
-    rows = np.repeat(np.arange(ids.size, dtype=np.int64), counts)
-    dense = np.zeros((ids.size, int(num_targets)), dtype=np.uint8)
-    dense[rows, members] = 1
-    packed = np.packbits(dense, axis=1, bitorder="little")
-    if packed.shape[1] < width:
-        pad = np.zeros((ids.size, width - packed.shape[1]), dtype=np.uint8)
-        packed = np.concatenate([packed, pad], axis=1)
-    return np.ascontiguousarray(packed)
+    # bit v of row k lives in byte k·W8 + v//8 at position v % 8
+    byte = np.repeat(np.arange(ids.size, dtype=np.int64) * width, counts)
+    byte += members >> 3
+    bits = np.left_shift(1, members & 7).astype(np.uint8)
+    packed = np.zeros((ids.size, width), dtype=np.uint8)
+    np.bitwise_or.at(packed.reshape(-1), byte, bits)
+    return packed
 
 
 def popcount_bytes(packed: np.ndarray) -> np.ndarray:

@@ -199,8 +199,8 @@ def _queue_ids(queue_ids, n: int) -> np.ndarray:
 CHUNK_CANDIDATES = 1 << 20
 
 
-def _id_volume(edges, nodes, ids: np.ndarray) -> np.ndarray:
-    """Running Σ_{v∈e} deg(v) through each hyperedge of ``ids``."""
+def _row_volume(edges, nodes, ids: np.ndarray) -> np.ndarray:
+    """Σ_{v∈e} deg(v) of each hyperedge of ``ids``."""
     from repro.graph.traversal import multi_slice
 
     starts = edges.indptr[ids]
@@ -210,7 +210,8 @@ def _id_volume(edges, nodes, ids: np.ndarray) -> np.ndarray:
     np.cumsum(
         nodes.indptr[members + 1] - nodes.indptr[members], out=cum[1:]
     )
-    return cum[np.cumsum(counts)]
+    ends = np.cumsum(counts)
+    return cum[ends] - cum[ends - counts]
 
 
 def _pair_volume(edges, pairs: np.ndarray) -> np.ndarray:
@@ -262,7 +263,9 @@ def _map(runtime, make_body, shared: tuple, items: np.ndarray, phase: str):
     """One pure kernel phase over ``items`` (IDs, or pair rows).
 
     Inline (no runtime) the items are walked in volume-bounded chunks
-    (:func:`_map_inline`); the all-pairs oracle, which gathers no
+    (:func:`_map_inline`), and a two-CSR body is built with each
+    hyperedge's ``Σ deg(v)`` as its ``expansion``; the all-pairs oracle,
+    which gathers no
     two-hop candidates, runs in one call.  On a runtime the items are
     partitioned (pair rows by row index, each task carrying its own
     rows) and ``shared`` crosses to the workers through
@@ -270,15 +273,20 @@ def _map(runtime, make_body, shared: tuple, items: np.ndarray, phase: str):
     """
     if runtime is None:
         edges = shared[0]
+        n = edges.num_vertices()
         if items.ndim == 2:
-            volume = _pair_volume(edges, items)
+            body, volume = make_body(*shared), _pair_volume(edges, items)
         elif len(shared) == 2:
-            volume = _id_volume(edges, shared[1], items)
+            # the dispatcher buckets by the same per-row estimate, so it
+            # travels to the body instead of being recounted per chunk
+            rows = _row_volume(edges, shared[1], items)
+            expansion = np.zeros(n, dtype=np.int64)
+            expansion[items] = rows
+            body = make_body(*shared, expansion=expansion)
+            volume = np.cumsum(rows)
         else:
-            volume = None
-        return _map_inline(
-            make_body(*shared), items, volume, edges.num_vertices()
-        )
+            body, volume = make_body(*shared), None
+        return _map_inline(body, items, volume, n)
     chunks = runtime.partition(items if items.ndim == 1 else items.shape[0])
     if items.ndim == 2:
         chunks = [items[idx] for idx in chunks]
@@ -406,8 +414,10 @@ def build_slinegraph(
     nt = runtime.num_threads if runtime is not None else 1
     name = kernel or preset.kernel
 
-    def count_body(e, nd):
-        return make_count_kernel(name, e, nd, s, weighted=weighted)
+    def count_body(e, nd, expansion=None):
+        return make_count_kernel(
+            name, e, nd, s, weighted=weighted, expansion=expansion
+        )
 
     step = [f"{preset.label}.{x}" for x in preset.steps]
     attrs = (
@@ -458,7 +468,9 @@ def build_slinegraph(
                 with tr.span(step[0]):  # phase 1, lines 1–6
                     gathered = _map(
                         runtime,
-                        lambda e, nd: PairGatherKernel(e, nd, s),
+                        lambda e, nd, expansion=None: PairGatherKernel(
+                            e, nd, s
+                        ),
                         (edges, nodes),
                         queue_ids[sizes[queue_ids] >= s],
                         preset.phases[0],

@@ -28,6 +28,7 @@ __all__ = [
     "total_candidates",
     "two_hop_pair_counts",
     "two_hop_pair_weighted",
+    "upper_bounds",
     "linegraph_csr",
     "resolve_incidence",
     "resolve_runtime",
@@ -262,9 +263,9 @@ def filter_overlaps(el: EdgeList, s: int) -> EdgeList:
     the edge weight (:func:`finalize_edges`), and the s-line graphs are
     monotone in s: ``L_s ⊆ L_{s'}`` whenever ``s' <= s``, with identical
     overlap weights on the surviving pairs.  So the expensive counting pass
-    never has to rerun — thresholding the cached weighted edge list is
-    enough.  This is the s-monotone reuse path of the serving cache
-    (:mod:`repro.service.cache`).
+    never has to rerun — thresholding the weighted edge list is enough.
+    The edge-list form of :meth:`repro.core.slinegraph.SLineGraph.derive`,
+    which thresholds the CSR the serving cache holds.
 
     Raises ``ValueError`` if ``el`` carries no overlap weights (a weighted
     ``Σ w·w`` construction, or a hand-built list, cannot be thresholded).
@@ -331,7 +332,7 @@ def batch_intersect_counts(
     return np.bincount(common // n_v, minlength=pairs.shape[0]).astype(np.int64)
 
 
-def _upper_bounds(
+def upper_bounds(
     indices: np.ndarray, lo: np.ndarray, hi: np.ndarray, key: np.ndarray
 ) -> np.ndarray:
     """Per sorted slice ``indices[lo[i]:hi[i]]``, the first position > key[i].
@@ -388,7 +389,7 @@ def _two_hop_slices(
     m_ends = nodes.indptr[members + 1]
     degrees = m_ends - m_starts
     if upper_only:
-        lo = _upper_bounds(nodes.indices, m_starts, m_ends, e_for_member)
+        lo = upper_bounds(nodes.indices, m_starts, m_ends, e_for_member)
         traversed = int(degrees[degrees > 1].sum())
     else:
         lo = m_starts

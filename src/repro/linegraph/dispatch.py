@@ -97,6 +97,7 @@ def bucketize(
     chunk: np.ndarray,
     s: int,
     policy: DispatchPolicy = _DEFAULT_POLICY,
+    expansion: np.ndarray | None = None,
 ) -> list[tuple[str, np.ndarray]]:
     """Partition one chunk's rows into (kernel name, row ids) buckets.
 
@@ -105,6 +106,9 @@ def bucketize(
     intersection, hashmap) with only non-empty entries, and the
     assignment depends solely on incidence structure + ``s`` + policy —
     never on backend or timing — so dispatch is reproducible.
+    ``expansion``, when given, holds each hyperedge's ``Σ_{v∈e} deg(v)``
+    by ID (the inline build computes it for its chunk cuts); otherwise
+    the chunk's rows are summed here.
     """
     chunk = np.asarray(chunk, dtype=np.int64)
     sizes = edges.indptr[chunk + 1] - edges.indptr[chunk]
@@ -119,19 +123,22 @@ def bucketize(
     dense_cost = float(n_rows) * words
     packed_bytes = float(n_rows) * words * 8
     # estimated two-hop expansion per row: Σ_{v∈e} deg(v)
-    starts = edges.indptr[live]
-    counts = edges.indptr[live + 1] - starts
-    from repro.graph.traversal import multi_slice
+    if expansion is not None:
+        expansion = expansion[live]
+    else:
+        starts = edges.indptr[live]
+        counts = edges.indptr[live + 1] - starts
+        from repro.graph.traversal import multi_slice
 
-    members = multi_slice(edges.indices, starts, counts)
-    m_deg = nodes.indptr[members + 1] - nodes.indptr[members]
-    deg_cum = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(m_deg))
-    )
-    bounds = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(counts))
-    )
-    expansion = deg_cum[bounds[1:]] - deg_cum[bounds[:-1]]
+        members = multi_slice(edges.indices, starts, counts)
+        m_deg = nodes.indptr[members + 1] - nodes.indptr[members]
+        deg_cum = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(m_deg))
+        )
+        bounds = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(counts))
+        )
+        expansion = deg_cum[bounds[1:]] - deg_cum[bounds[:-1]]
     to_bitset = (
         (expansion >= policy.bitset_min_expansion)
         & (expansion >= policy.bitset_advantage * dense_cost)
@@ -246,6 +253,7 @@ def adaptive_rows(
     policy: DispatchPolicy = _DEFAULT_POLICY,
     force: str | None = None,
     packing: EligiblePacking | None = None,
+    expansion: np.ndarray | None = None,
 ):
     """Bucket a chunk and run the chosen body per bucket.
 
@@ -254,7 +262,8 @@ def adaptive_rows(
     pins one family (no bucketing then runs), a ``"dispatch"`` entry
     whose ``tasks`` counts buckets (so the bucket table is
     reconstructible from counters alone).  ``packing`` is handed to the
-    bitset bucket (see :func:`~repro.linegraph.bitset.bitset_rows`).
+    bitset bucket (see :func:`~repro.linegraph.bitset.bitset_rows`);
+    ``expansion`` to :func:`bucketize`.
     """
     chunk = np.asarray(chunk, dtype=np.int64)
     forced = force is not None and force != "auto"
@@ -262,7 +271,7 @@ def adaptive_rows(
         sizes = edges.indptr[chunk + 1] - edges.indptr[chunk]
         buckets = [(force, chunk[sizes >= s])]
     else:
-        buckets = bucketize(edges, nodes, chunk, s, policy)
+        buckets = bucketize(edges, nodes, chunk, s, policy, expansion)
     out_src: list[np.ndarray] = []
     out_dst: list[np.ndarray] = []
     out_cnt: list[np.ndarray] = []
@@ -313,7 +322,8 @@ class AdaptiveKernel:
     """
 
     __slots__ = (
-        "edges", "nodes", "s", "upper_only", "policy", "force", "packing"
+        "edges", "nodes", "s", "upper_only", "policy", "force", "packing",
+        "expansion",
     )
 
     def __init__(
@@ -324,6 +334,7 @@ class AdaptiveKernel:
         upper_only: bool = True,
         policy: DispatchPolicy = _DEFAULT_POLICY,
         force: str | None = None,
+        expansion: np.ndarray | None = None,
     ) -> None:
         self.edges = edges
         self.nodes = nodes
@@ -332,6 +343,7 @@ class AdaptiveKernel:
         self.policy = policy
         self.force = force
         self.packing = EligiblePacking()
+        self.expansion = expansion
 
     def __call__(self, chunk: np.ndarray) -> TaskResult:
         with open_handles(self.edges, self.nodes) as (edges, nodes):
@@ -344,6 +356,7 @@ class AdaptiveKernel:
                 policy=self.policy,
                 force=self.force,
                 packing=self.packing,
+                expansion=self.expansion,
             )
             return TaskResult((src, dst, cnt, stats), work)
 
@@ -354,6 +367,7 @@ def make_count_kernel(
     nodes,
     s: int,
     weighted: bool = False,
+    expansion: np.ndarray | None = None,
 ):
     """Build the counting body for one builder run.
 
@@ -362,6 +376,8 @@ def make_count_kernel(
     ``s`` members themselves (Alg. 1 line 6).  Weighted constructions
     always use the hashmap body (the only family that accumulates the
     ``Σ w·w`` products), which expects degree-pruned chunks.
+    ``expansion`` (per-hyperedge ``Σ deg(v)``, see :func:`bucketize`)
+    reaches the dispatcher only.
     """
     from .kernels import WeightedHashmapKernel
 
@@ -379,5 +395,6 @@ def make_count_kernel(
     if name == "bitset":
         return BitsetOverlapKernel(edges, s)
     return AdaptiveKernel(
-        edges, nodes, s, force=None if name == "auto" else name
+        edges, nodes, s, force=None if name == "auto" else name,
+        expansion=expansion,
     )

@@ -85,9 +85,7 @@ def _workload_slinegraph(hg, s, threads, algorithm, tracer, metrics):
             s, algorithm=algorithm, runtime=rt, tracer=tracer, metrics=metrics
         )
     with tracer.span("profile.derive", s=s + 1):
-        from repro.linegraph.common import filter_overlaps
-
-        filter_overlaps(lg.edgelist, s + 1)
+        lg.derive(s + 1)
     return {"slinegraph": rt.ledger}, {
         "line_vertices": lg.num_vertices(),
         "line_edges": lg.num_edges(),

@@ -1,7 +1,7 @@
 """Byte-budgeted LRU cache of materialized s-line graphs.
 
 The cache is keyed by ``(dataset, s, over_edges)`` and bounded by the
-*measured* byte footprint of each entry (edge list + symmetrized CSR),
+*measured* byte footprint of each entry (its symmetric CSR),
 not an entry count — s-line graphs for the same budget can differ by
 orders of magnitude in size (§III-B.3's blow-up).
 
@@ -35,10 +35,10 @@ from repro.core.slinegraph import SLineGraph
 
 __all__ = ["CacheStats", "SLineGraphCache", "estimate_linegraph_bytes"]
 
-#: bytes per s-line edge across edge list (src/dst/weight int64+int64+f64)
-#: plus the symmetrized CSR (2 × (index + weight)); used only to *estimate*
-#: a not-yet-built graph's footprint for admission / laziness decisions.
-_BYTES_PER_EDGE = 24 + 2 * 16
+#: bytes per s-line edge in the symmetric CSR: both directions, each an
+#: int64 index plus a float64 overlap; used only to *estimate* a
+#: not-yet-built graph's footprint for admission / laziness decisions.
+_BYTES_PER_EDGE = 2 * (8 + 8)
 
 
 def estimate_linegraph_bytes(
@@ -48,16 +48,18 @@ def estimate_linegraph_bytes(
 
     Bounds the s-line edge count by the two-hop pair volume
     ``Σ_v d(v)·(d(v)-1)/2`` (every s-line edge is witnessed by ≥ s ≥ 1
-    shared vertices), scaled to bytes per materialized edge.  Loose for
+    shared vertices), scaled to bytes per materialized edge, plus the
+    ``indptr`` of one row per line-graph vertex.  Loose for
     dense overlap structure, but computable in one vectorized pass over
     the degree array — exactly what the engine's "is the budget tight?"
     check needs.
     """
     bi = hg.biadjacency
     deg = bi.node_degrees() if over_edges else bi.edge_sizes()
+    rows = bi.num_hyperedges() if over_edges else bi.num_hypernodes()
     deg = deg.astype(float)
     pairs = float((deg * (deg - 1.0)).sum()) / 2.0
-    return int(pairs * _BYTES_PER_EDGE)
+    return int(pairs * _BYTES_PER_EDGE) + 8 * (rows + 1)
 
 
 @dataclass
@@ -218,7 +220,7 @@ class SLineGraphCache:
             d, s2, oe = key
             if d == dataset and oe == over_edges and s2 < s:
                 lg = self._entries[key]
-                if lg.edgelist.weights is None:
+                if lg.graph.weights is None:
                     continue  # cannot threshold without overlap counts
                 if best is None or s2 > best[1]:
                     best = key
@@ -241,22 +243,9 @@ class SLineGraphCache:
         key = (dataset, s, over_edges)
         with self._lock:
             self._owners[dataset] = weakref.ref(hypergraph)
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                if self._inc_hit is not None:
-                    self._inc_hit()
-                return self._entries[key], "hit"
-
-            base_key = self._derivable_key(dataset, s, over_edges)
-            if base_key is not None:
-                base = self._entries[base_key]
-                self._entries.move_to_end(base_key)
-                lg = base.derive(s)
-                self.stats.derives += 1
-                self._c_outcome["derive"].inc()
-                self._admit(key, lg)
-                return lg, "derive"
+            cached = self.get(dataset, s, over_edges)
+            if cached is not None:
+                return cached
 
         # Build outside the lock: construction is the expensive part and
         # must not serialize unrelated cache traffic.  A racing duplicate
@@ -273,6 +262,34 @@ class SLineGraphCache:
             admitted = self._admit(key, lg)
             self._c_outcome["miss" if admitted else "bypass"].inc()
             return lg, "miss" if admitted else "bypass"
+
+    def get(
+        self, dataset: str, s: int, over_edges: bool = True
+    ) -> tuple[SLineGraph, str] | None:
+        """:meth:`get_or_build` without the build: ``(L_s, 'hit' |
+        'derive')``, or ``None`` when only a build could serve it."""
+        if s < 1:
+            raise ValueError("s must be >= 1")
+        s = int(s)
+        over_edges = bool(over_edges)
+        key = (dataset, s, over_edges)
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                if self._inc_hit is not None:
+                    self._inc_hit()
+                return self._entries[key], "hit"
+            base_key = self._derivable_key(dataset, s, over_edges)
+            if base_key is None:
+                return None
+            base = self._entries[base_key]
+            self._entries.move_to_end(base_key)
+            lg = base.derive(s)
+            self.stats.derives += 1
+            self._c_outcome["derive"].inc()
+            self._admit(key, lg)
+            return lg, "derive"
 
     def _build(
         self, hypergraph: NWHypergraph, s: int, over_edges: bool,
@@ -306,8 +323,8 @@ class SLineGraphCache:
     # -- admission / eviction (call with lock held) --------------------------
     @staticmethod
     def entry_bytes(lg: SLineGraph) -> int:
-        """Measured footprint of one entry (edge list + CSR)."""
-        return lg.edgelist.nbytes() + lg.graph.nbytes()
+        """Measured footprint of one entry (its symmetric CSR)."""
+        return lg.graph.nbytes()
 
     def _admit(  # repro: noqa-R002 — admission/eviction helper; every caller holds self._lock (see section header)
         self, key: tuple[str, int, bool], lg: SLineGraph
@@ -354,6 +371,18 @@ class SLineGraphCache:
                 self._g_bytes.set(self.stats.current_bytes)
                 self._g_entries.set(self.stats.entries)
             return admitted
+
+    def discard(self, dataset: str, s: int, over_edges: bool) -> None:
+        """Drop one entry if resident (no eviction is counted)."""
+        key = (dataset, int(s), bool(over_edges))
+        with self._lock:
+            if key not in self._entries:
+                return
+            del self._entries[key]
+            self.stats.current_bytes -= self._sizes.pop(key)
+            self.stats.entries = len(self._entries)
+            self._g_bytes.set(self.stats.current_bytes)
+            self._g_entries.set(self.stats.entries)
 
     def entries_for(self, dataset: str) -> list[tuple[int, bool, SLineGraph]]:
         """Resident ``(s, over_edges, linegraph)`` triples of one dataset."""

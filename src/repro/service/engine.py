@@ -198,6 +198,9 @@ class QueryEngine:
         self.backend = make_backend(backend, workers)
         self._op_lock = threading.Lock()
         self._op_counters: dict[str, dict[str, float]] = {}
+        # dataset -> cache key of its version before an in-flight update;
+        # reads keep using that version's entries until each is replaced
+        self._updating: dict[str, str] = {}
 
     def close(self) -> None:
         """Shut down backend pools and durable store handles (idempotent)."""
@@ -463,17 +466,36 @@ class QueryEngine:
     def _side(query: dict) -> bool:
         return bool(query.get("over_edges", True))
 
-    def _linegraph(self, query: dict) -> tuple:
-        """Materialize (or fetch) the query's s-line graph via the cache.
+    def _cache_key(self, name: str, s: int, over_edges: bool) -> str:
+        """The cache key a read of ``name`` at ``(s, over_edges)`` uses.
 
         Cache keys are version-aware (``name@vN`` for updated dynamic
         datasets) so a patched entry can never answer for a stale state.
+        While an update of ``name`` is in flight, an entry of the version
+        before it still answers until the update replaces it with its
+        patched successor — the read is ordered before the update — so
+        reads during the patch never fall back to a lazy recount.
         """
-        name, hg = self._dataset(query)
-        key = self.store.versioned_name(name)
-        lg, how = self.cache.get_or_build(
-            key, self._s(query), hg, self._side(query)
-        )
+        before = self._updating.get(name)
+        if before is not None and self.cache.lookup(before, s, over_edges):
+            return before
+        return self.store.versioned_name(name)
+
+    def _linegraph(self, query: dict) -> tuple:
+        """Materialize (or fetch) the query's s-line graph via the cache.
+
+        A hit or derive needs no frozen view of the dataset; only a miss
+        takes one (for a dynamic dataset, the snapshot of its version).
+        """
+        name = _require(query, "dataset")
+        s, over = self._s(query), self._side(query)
+        key = self._cache_key(name, s, over)
+        cached = self.cache.get(key, s, over)
+        if cached is None:
+            cached = self.cache.get_or_build(
+                key, s, self.store.get(name), over
+            )
+        lg, how = cached
         return lg, f"cache:{how}"
 
     def _should_serve_lazy(self, query: dict) -> bool:
@@ -484,14 +506,14 @@ class QueryEngine:
             return True
         if mode == "always":
             return False
-        name, hg = self._dataset(query)
-        key = self.store.versioned_name(name)
-        if self.cache.lookup(key, self._s(query), self._side(query)):
+        name = _require(query, "dataset")
+        s, over = self._s(query), self._side(query)
+        if self.cache.lookup(self._cache_key(name, s, over), s, over):
             return False  # already cheap
         remaining = self.cache.remaining_bytes()
         if remaining is None:
             return False
-        est = estimate_linegraph_bytes(hg, self._s(query), self._side(query))
+        est = estimate_linegraph_bytes(self.store.get(name), s, over)
         return est > remaining
 
     def _lazy_side(self, query: dict) -> dict:
@@ -732,12 +754,13 @@ class QueryEngine:
         "members": [...]}``, ...).  The dataset is promoted to dynamic in
         place if needed; live cached s-line graphs of the pre-update
         version are delta-patched (or dropped, when the dirty fraction
-        makes a rebuild cheaper — :mod:`repro.dynamic.policy`) and
-        re-admitted under the new version-aware key.  ``compact=True``
+        makes a rebuild cheaper — :mod:`repro.dynamic.policy`).  Each
+        patched graph is admitted under the new version-aware key and
+        its old-version entry dropped at once, so the budget never holds
+        two versions of more than one entry; until then the old entry
+        keeps answering reads (:meth:`_cache_key`).  ``compact=True``
         additionally folds the mutation log into a fresh frozen base.
         """
-        from repro.dynamic.incremental import patch_slinegraph
-
         name = _require(query, "dataset")
         ops = _require(query, "ops")
         if not isinstance(ops, list) or not ops:
@@ -749,32 +772,18 @@ class QueryEngine:
         dyn = self.store.get_dynamic(
             name, tracer=self.tracer, metrics=self.obs_metrics
         )
+        self._updating[name] = old_key
         try:
-            res = dyn.apply(ops)
-        except ValueError as exc:
-            raise QueryError(str(exc), code="invalid_mutation") from None
-        new_key = self.store.versioned_name(name)
-        state = dyn.state
-        outcomes: dict[str, str] = {}
-        for s, over_edges, lg in self.cache.entries_for(old_key):
-            label = f"s={s},{'edges' if over_edges else 'nodes'}"
-            patched = patch_slinegraph(
-                lg.edgelist,
-                state if over_edges else state.dual(),
-                res.dirty_edges if over_edges else res.dirty_nodes,
-                s,
-                over_edges,
-                tracer=self.tracer,
-                metrics=self.obs_metrics,
-            )
-            if patched is None:
-                outcomes[label] = "dropped"
-            else:
-                admitted = self.cache.put(new_key, s, over_edges, patched)
-                outcomes[label] = "patched" if admitted else "patched:bypass"
-            self.obs_metrics.counter(
-                "dynamic_cache_patches_total", outcome=outcomes[label]
-            ).inc()
+            try:
+                res = dyn.apply(ops)
+            except ValueError as exc:
+                raise QueryError(
+                    str(exc), code="invalid_mutation"
+                ) from None
+            outcomes = self._patch_entries(name, old_key, dyn, res)
+        finally:
+            if self._updating.get(name) == old_key:
+                del self._updating[name]
         self.cache.invalidate(old_key)
         if bool(query.get("compact", False)):
             dyn.compact()
@@ -783,6 +792,42 @@ class QueryEngine:
         body["cache"] = outcomes
         body["compacted"] = bool(query.get("compact", False))
         return {"result": body, "via": "direct"}
+
+    def _patch_entries(
+        self, name: str, old_key: str, dyn, res
+    ) -> dict[str, str]:
+        """Patch each cached entry of ``old_key`` into the new version.
+
+        Entries are popped one at a time, so each old graph is freed as
+        soon as its successor replaces it in the cache.
+        """
+        from repro.dynamic.incremental import patch_slinegraph
+
+        new_key = self.store.versioned_name(name)
+        state = dyn.state
+        outcomes: dict[str, str] = {}
+        entries = self.cache.entries_for(old_key)
+        while entries:
+            s, over_edges, lg = entries.pop(0)
+            label = f"s={s},{'edges' if over_edges else 'nodes'}"
+            patched = patch_slinegraph(
+                lg,
+                state if over_edges else state.dual(),
+                res.dirty_edges if over_edges else res.dirty_nodes,
+                tracer=self.tracer,
+                metrics=self.obs_metrics,
+            )
+            del lg
+            if patched is None:
+                outcomes[label] = "dropped"
+            else:
+                admitted = self.cache.put(new_key, s, over_edges, patched)
+                self.cache.discard(old_key, s, over_edges)
+                outcomes[label] = "patched" if admitted else "patched:bypass"
+            self.obs_metrics.counter(
+                "dynamic_cache_patches_total", outcome=outcomes[label]
+            ).inc()
+        return outcomes
 
     def _op_metrics(self, query: dict) -> dict:
         return {"result": self.metrics(), "via": "direct"}

@@ -348,11 +348,11 @@ class ShardedEngine(QueryEngine):
         """
         if query.get("materialize", "auto") == "always":
             return False
-        name, hg = self._dataset(query)
-        key = self.store.versioned_name(name)
-        if self.cache.lookup(key, self._s(query), self._side(query)):
+        name = _require(query, "dataset")
+        s, over = self._s(query), self._side(query)
+        if self.cache.lookup(self._cache_key(name, s, over), s, over):
             return False
-        n = self._side_size(hg, self._side(query))
+        n = self._side_size(self.store.get(name), over)
         return all(0 <= v < n for v in vertices)
 
     def _route_pairs(self, query: dict, v: int) -> np.ndarray:

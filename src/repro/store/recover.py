@@ -227,16 +227,15 @@ class StoreHandle:
                     num_vertices=int(spec["num_vertices"]),
                 )
                 s, over_edges = int(spec["s"]), bool(spec["over_edges"])
-                if not stale:
-                    lg = SLineGraph(el, s=s, over_edges=over_edges)
-                else:
+                lg = SLineGraph(el, s=s, over_edges=over_edges)
+                if stale:
                     side, dirty = (
                         (dyn.state, dyn.dirty_edges())
                         if over_edges
                         else (dyn.state.dual(), dyn.dirty_nodes())
                     )
                     lg = patch_slinegraph(
-                        el, side, dirty, s, over_edges,
+                        lg, side, dirty,
                         tracer=self._tracer, metrics=self._metrics,
                     )
                 if lg is None:

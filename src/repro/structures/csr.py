@@ -26,7 +26,7 @@ from scipy import sparse as sp
 
 from .edgelist import EdgeList
 
-__all__ = ["CSR"]
+__all__ = ["CSR", "upper_mask"]
 
 _INDEX_DTYPE = np.int64
 
@@ -39,6 +39,18 @@ def _is_upper_canonical(src: np.ndarray, dst: np.ndarray) -> bool:
     return bool(
         np.all(src < dst)
         and np.all((step > 0) | ((step == 0) & (np.diff(dst) > 0)))
+    )
+
+
+def upper_mask(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Per row ``r``, ``lower[r]`` entries ``False`` then ``upper[r]`` ``True``.
+
+    The boolean layout of a symmetric CSR whose sorted rows hold
+    ``lower[r]`` neighbours below ``r`` followed by ``upper[r]`` above.
+    """
+    return np.repeat(
+        np.tile(np.array([False, True]), lower.size),
+        np.stack([lower, upper], axis=1).reshape(-1),
     )
 
 
@@ -182,31 +194,40 @@ class CSR:
         form :func:`~repro.linegraph.common.finalize_edges` emits — skips
         the sort: row ``r`` is its lower neighbours (the transpose of the
         upper triangle) followed by its upper neighbours, and both halves
-        already ascend, so one stable counting pass by row over the lower
-        half then the upper half lays every row out sorted, in
-        O(nnz + n).  scipy's COO→CSR conversion is that pass, in C++;
-        it promises canonical rows, so its own check finds nothing to
-        sort.  Any other list falls back to :meth:`from_coo`.
+        already ascend.  The upper half is the list itself, row-major;
+        the lower half is its transpose, which scipy's CSR→CSC counting
+        pass (C++, O(nnz + n)) lays out sorted.  Each half is then
+        scattered into the final ``int64``/``float64`` arrays through one
+        boolean row-layout mask, so no concatenated coordinate copies
+        are made.  Any other list falls back to :meth:`from_coo`.
         """
         if not _is_upper_canonical(el.src, el.dst):
             return cls.from_edgelist(el.symmetrize())
         n, m = el.num_vertices(), len(el)
-        # int32 coordinates spare scipy a scan-and-downcast of int64 ones
-        idx = np.int32 if n < 2**31 else _INDEX_DTYPE
-        rows = np.concatenate([el.dst, el.src], dtype=idx)
-        cols = np.concatenate([el.src, el.dst], dtype=idx)
+        up = np.bincount(el.src, minlength=n)
+        upper_ptr = np.zeros(n + 1, dtype=_INDEX_DTYPE)
+        np.cumsum(up, out=upper_ptr[1:])
         data = (
-            np.zeros(2 * m, dtype=np.bool_)
-            if el.weights is None
-            else np.concatenate([el.weights, el.weights])
+            np.zeros(m, dtype=np.bool_) if el.weights is None else el.weights
         )
-        sym = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        lower = sp.csr_matrix(
+            (data, el.dst, upper_ptr), shape=(n, n)
+        ).tocsc()
+        low = np.diff(lower.indptr)
+        indptr = np.zeros(n + 1, dtype=_INDEX_DTYPE)
+        np.cumsum(low + up, out=indptr[1:])
+        is_upper = upper_mask(low, up)
+        is_lower = ~is_upper
+        indices = np.empty(2 * m, dtype=_INDEX_DTYPE)
+        indices[is_lower] = lower.indices
+        indices[is_upper] = el.dst
+        weights = None
+        if el.weights is not None:
+            weights = np.empty(2 * m, dtype=np.float64)
+            weights[is_lower] = lower.data
+            weights[is_upper] = el.weights
         return cls(
-            sym.indptr,
-            sym.indices,
-            None if el.weights is None else sym.data,
-            num_targets=n,
-            sorted_rows=True,
+            indptr, indices, weights, num_targets=n, sorted_rows=True
         )
 
     @classmethod

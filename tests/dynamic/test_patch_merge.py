@@ -1,19 +1,21 @@
-"""The merge-based patch equals re-canonicalizing the whole patched list.
+"""The row-splice patch equals re-canonicalizing the whole patched list.
 
-Property tests (hypothesis): ``patch_linegraph`` keeps the clean edges
-in place and merges the recounted pairs in; the result must equal
-:func:`finalize_edges` over the concatenation — the re-sorting
-formulation — array for array, dtypes included, for random mutation
-batches whose dirty hyperedges overlap each other (so the recount holds
-dirty–dirty pairs in both orientations).
+Property tests (hypothesis): ``patch_linegraph`` keeps the clean rows
+of the symmetric CSR in place and splices the recounted pairs in
+(:func:`~repro.dynamic.incremental.splice_rows`); the upper view of the
+result must equal :func:`finalize_edges` over the concatenation — the
+re-sorting formulation — array for array, dtypes included, for random
+mutation batches whose dirty hyperedges overlap each other (so the
+recount holds dirty–dirty pairs in both orientations).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.slinegraph import SLineGraph
 from repro.dynamic import DynamicHypergraph, patch_linegraph
-from repro.dynamic.incremental import _merge_patch, delta_pair_counts
+from repro.dynamic.incremental import delta_pair_counts, splice_rows
 from repro.linegraph.common import finalize_edges
 from repro.structures.edgelist import EdgeList
 
@@ -110,7 +112,10 @@ def synthetic_deltas(draw):
 def test_merge_equals_finalize_on_synthetic_deltas(case):
     old, dirty, src, dst, counts, n = case
     clean = ~(np.isin(old.src, dirty) | np.isin(old.dst, dirty))
-    got = _merge_patch(old, clean, src, dst, counts, n)
+    graph = splice_rows(
+        SLineGraph(old, 1).graph, dirty, finalize_edges(src, dst, counts, n)
+    )
+    got = SLineGraph.from_csr(graph, 1).edgelist
     want = finalize_edges(
         np.concatenate([old.src[clean], src]),
         np.concatenate([old.dst[clean], dst]),

@@ -8,6 +8,7 @@ reference on any incidence structure, s threshold, and orientation.
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.linegraph.bitset import (
 )
 from repro.linegraph.common import two_hop_pair_counts
 from repro.structures.biadjacency import BiAdjacency
+from repro.structures.csr import CSR
 from repro.structures.edgelist import BiEdgeList
 from repro.testing import random_hypergraph
 
@@ -85,6 +87,36 @@ class TestPacking:
             np.testing.assert_array_equal(
                 np.flatnonzero(bits), np.sort(members)
             )
+
+    def test_pack_rows_sets_bits_without_a_dense_matrix(self):
+        """4,000 rows over 8,000 targets: the dense ``uint8`` row matrix
+        alone would be 30.5 MiB; packing straight into the 3.8 MiB of
+        words must stay well under half of that, byte for byte equal to
+        ``np.packbits`` over the dense matrix."""
+        rng = np.random.default_rng(0)
+        n_rows, n_v = 4000, 8000
+        sizes = rng.integers(1, 60, n_rows)
+        indices = np.concatenate(
+            [np.sort(rng.choice(n_v, k, replace=False)) for k in sizes]
+        )
+        csr = CSR(
+            np.concatenate([[0], np.cumsum(sizes)]), indices,
+            num_targets=n_v,
+        )
+        ids = np.arange(n_rows, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            packed = pack_rows(csr, ids, n_v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 2**20
+        dense = np.zeros((n_rows, n_v), dtype=np.uint8)
+        dense[np.repeat(ids, sizes), indices] = 1
+        want = np.packbits(dense, axis=1, bitorder="little")
+        assert packed.shape == (n_rows, 1000) == want.shape
+        assert packed.dtype == np.uint8 and packed.flags.c_contiguous
+        np.testing.assert_array_equal(packed, want)
 
     def test_overlap_counts_small(self):
         h = BiAdjacency.from_biedgelist(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.hypergraph import NWHypergraph
 from repro.dynamic import DynamicHypergraph
-from repro.service import QueryEngine
+from repro.service import QueryEngine, SLineGraphCache
 
 from ..conftest import PAPER_MEMBERS
 
@@ -191,6 +191,45 @@ class TestCachePatching:
         )
         assert rebuilt["via"] == "cache:miss"
         assert engine.cache.entries_for("paper@v1") != []
+
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_update_evicts_nothing_within_budget(self, tight):
+        """L_2..L_4 cached; an update admits each patched entry and drops
+        its predecessor at once, so a budget of twice the live set — or
+        the live set plus its largest entry, with 10% for growth — never
+        evicts."""
+        hg = NWHypergraph.from_hyperedge_lists(
+            _random_members(5, n_edges=400, n_nodes=120), num_nodes=120
+        )
+        sized = QueryEngine(
+            num_threads=1, cache=SLineGraphCache(budget_bytes=None)
+        )
+        sized.store.register("rnd", hg)
+        sized.execute({"op": "warm", "dataset": "rnd", "s_values": [2, 3, 4]})
+        sizes = [k["bytes"] for k in sized.cache.snapshot()["keys"]]
+        total = sum(sizes)
+        if tight:
+            budget = int(1.1 * (total + max(sizes)))
+        else:
+            budget = int(2.2 * total)
+        eng = QueryEngine(
+            num_threads=1, cache=SLineGraphCache(budget_bytes=budget)
+        )
+        eng.store.register("rnd", hg)
+        eng.execute({"op": "warm", "dataset": "rnd", "s_values": [2, 3, 4]})
+        assert eng.cache.current_bytes == total
+        for batch in (
+            [{"op": "add_edge", "members": [0, 1, 2]}],
+            [{"op": "remove_edge", "edge": 7},
+             {"op": "add_incidence", "edge": 9, "node": 3}],
+        ):
+            resp = eng.execute(
+                {"op": "update", "dataset": "rnd", "ops": batch}
+            )
+            assert set(resp["result"]["cache"].values()) == {"patched"}
+        assert eng.cache.stats.evictions == 0
+        assert len(eng.cache) == 3
+        eng.cache.debug_verify()
 
     def test_patch_metrics_emitted(self):
         eng = QueryEngine(num_threads=1)
