@@ -14,7 +14,7 @@ into the numbers an operator actually reads:
   errors);
 * **server panels** — deltas of the server's own ``metrics`` snapshots
   taken before/after the run: cache hits/derives/misses, per-reason and
-  per-tenant shed counters, backend fallback tasks.
+  per-tenant shed counters, the backend card (name and workers).
 
 :class:`SLOGate` is the declarative pass/fail layer: a list of gates
 (``p99_ms <= 50``, ``error_rate <= 0``, ``rps >= 200`` …, optionally
@@ -220,9 +220,9 @@ class LoadReport:
     def server_panel(self) -> dict:
         """Server-side counter deltas across the run (best effort).
 
-        Cache traffic, shed counters (per reason and per tenant), and
-        backend fallback tasks — everything the ``metrics`` op exposes
-        that moved during the run.
+        Cache traffic and shed counters (per reason and per tenant) —
+        everything the ``metrics`` op exposes that moved during the run
+        — plus the backend card before and after.
         """
         before = _counter_map(self.run.metrics_before)
         after = _counter_map(self.run.metrics_after)

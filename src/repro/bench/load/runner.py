@@ -22,7 +22,7 @@ Two run modes, two different truths:
 Both modes record per-operation :class:`OpResult` rows (tenant, op
 kind, structured error code if any, latency) and snapshot the server's
 ``metrics`` op before and after, so the report can show server-side
-panels (cache hit rates, shed counters, backend fallbacks) next to the
+panels (cache hit rates, shed counters, the backend card) next to the
 client-side latencies.
 """
 

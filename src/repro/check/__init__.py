@@ -9,7 +9,7 @@ repo-specific AST rules:
   blocking calls reachable from ``async def`` bodies, no ``await``
   under a threading lock;
 * **R201** (:mod:`repro.check.lifecycle`) — resource lifecycle: every
-  shm/mmap/WAL/socket acquisition flows into a ``with``, a
+  mmap/WAL/socket acquisition flows into a ``with``, a
   ``try/finally`` close, or an owner with a close path;
 * **R301–R304** (:mod:`repro.check.protocol_conformance`) —
   protocol conformance: the implemented wire surface (engine handlers,

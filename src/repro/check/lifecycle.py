@@ -1,9 +1,8 @@
-"""Resource-lifecycle rule (R201) for the mmap/shm/WAL/socket layer.
+"""Resource-lifecycle rule (R201) for the mmap/WAL/socket layer.
 
 The serving stack holds kernel-backed resources whose leak modes are
-invisible to the garbage collector's happy path: POSIX shared-memory
-segments (``SharedArray``/``SharedCSR``) survive the process, mmap
-handles (``SlabFile``/``MappedArray``/``MappedCSR``) pin file pages,
+invisible to the garbage collector's happy path: mmap handles
+(``SlabFile``) pin file pages,
 ``WriteAheadLog`` holds an open append handle, and ``SocketSession``
 holds a live TCP connection.  **R201** checks, per function, that every
 acquisition of one of these flows into a release:
@@ -16,7 +15,7 @@ acquisition of one of these flows into a release:
 * an **escape** that transfers ownership out of the function: the
   object is returned or yielded, stored on ``self`` (when the owning
   class has a verified close path), stored into a container or module
-  registry (the ``_OPEN_SLABS`` pattern), aliased, or passed as an
+  registry, aliased, or passed as an
   argument to another call (constructor injection — the callee owns it
   now).
 
@@ -45,10 +44,6 @@ __all__ = ["LIFECYCLE_RULES", "ResourceLifecycleRule"]
 #: constructors/factories whose result owns a kernel-backed resource
 _FACTORIES = frozenset(
     {
-        "SharedArray",
-        "SharedCSR",
-        "MappedArray",
-        "MappedCSR",
         "SlabFile",
         "SlabWriter",
         "WriteAheadLog",
@@ -108,8 +103,8 @@ class _Acquisition:
 class ResourceLifecycleRule(LintRule):
     code = "R201"
     summary = (
-        "SharedArray/MappedArray/SlabFile/StoreHandle/WriteAheadLog/"
-        "SocketSession acquisitions must flow into a with, a "
+        "SlabFile/SlabWriter/StoreHandle/WriteAheadLog/SocketSession "
+        "acquisitions must flow into a with, a "
         "try/finally close, or an owner with a close path"
     )
     hint = (

@@ -789,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[1, 2, 4, 8, 16, 32, 64])
     p.add_argument("-s", type=int, default=2, help="s for figure 9")
     p.add_argument("--backend", default=None,
-                   choices=["simulated", "threaded", "process"],
+                   choices=["simulated", "threaded"],
                    help="execution backend for pure phases (default: "
                         "simulated; figures are identical either way)")
     p.add_argument("--workers", type=int, default=None,
@@ -824,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=4,
                    help="simulated threads for batch dispatch")
     p.add_argument("--backend", default=None,
-                   choices=["simulated", "threaded", "process"],
+                   choices=["simulated", "threaded"],
                    help="execution backend for batch dispatch (default: "
                         "$REPRO_BACKEND or simulated)")
     p.add_argument("--workers", type=int, default=None,
@@ -858,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", action="store_true",
                    help="send all queries as one batch request")
     p.add_argument("--backend", default=None,
-                   choices=["simulated", "threaded", "process"],
+                   choices=["simulated", "threaded"],
                    help="server-side execution backend for this batch "
                         "(requires --batch)")
     p.add_argument("--workers", type=int, default=None,

@@ -19,11 +19,10 @@ per operation, and ``np.bitwise_count`` (numpy >= 2.0) pops each AND-ed
 word in place before one row reduction.
 
 :class:`BitsetOverlapKernel` is shaped exactly like the other kernel
-bodies (:mod:`repro.linegraph.kernels`): picklable, pure, opens its
-inputs via :func:`~repro.parallel.shared.open_handles`, returns
-``TaskResult((src, dst, overlap, stats), work)`` — so it runs unchanged
-on the simulated, threaded, and process backends and plugs into the
-degree-bucketed dispatcher (:mod:`repro.linegraph.dispatch`).
+bodies (:mod:`repro.linegraph.kernels`): pure, holds its inputs as
+attributes, returns ``TaskResult((src, dst, overlap, stats), work)`` —
+so it runs unchanged on the simulated and threaded backends and plugs
+into the degree-bucketed dispatcher (:mod:`repro.linegraph.dispatch`).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import threading
 import numpy as np
 
 from repro.parallel.runtime import TaskResult
-from repro.parallel.shared import open_handles
 
 from .common import kernel_stats
 
@@ -102,8 +100,7 @@ class EligiblePacking:
     The dense sweep compares each of its rows against every eligible
     row, so every chunk needs the same packed matrix.  One build's
     kernels share this holder across chunks and threads: the first
-    chunk with a bitset row packs, the rest reuse it.  A pickled copy
-    (a process-backend task) starts empty and packs for itself.
+    chunk with a bitset row packs, the rest reuse it.
     """
 
     __slots__ = ("_lock", "_packed")
@@ -153,12 +150,11 @@ class BitsetOverlapKernel:
         self.packing = EligiblePacking()
 
     def __call__(self, chunk: np.ndarray) -> TaskResult:
-        with open_handles(self.edges) as (edges,):
-            src, dst, cnt, stats, work = bitset_rows(
-                edges, chunk, self.s, upper_only=self.upper_only,
-                packing=self.packing,
-            )
-            return TaskResult((src, dst, cnt, stats), work)
+        src, dst, cnt, stats, work = bitset_rows(
+            self.edges, chunk, self.s, upper_only=self.upper_only,
+            packing=self.packing,
+        )
+        return TaskResult((src, dst, cnt, stats), work)
 
 
 def bitset_rows(

@@ -6,8 +6,8 @@ things only: how the work is iterated, and which body counts each
 overlap (hashmap [18] or set intersection [17]).  So there is one driver,
 :func:`build_slinegraph`, and each named algorithm is one row of
 :data:`PRESETS`.  Every build runs the same steps: resolve the incidence,
-pick the frontier, build the runtime, share the CSRs, map a picklable
-pure kernel with ``parallel_for``, concatenate, count, then finalize
+pick the frontier, build the runtime, map a pure kernel over the CSRs
+with ``parallel_for``, concatenate, count, then finalize
 (or, for the ensemble, filter once per ``s``).
 
 The three iteration shapes:
@@ -268,8 +268,7 @@ def _map(runtime, make_body, shared: tuple, items: np.ndarray, phase: str):
     which gathers no
     two-hop candidates, runs in one call.  On a runtime the items are
     partitioned (pair rows by row index, each task carrying its own
-    rows) and ``shared`` crosses to the workers through
-    ``runtime.share``.
+    rows) and every task reads the same ``shared`` inputs.
     """
     if runtime is None:
         edges = shared[0]
@@ -290,10 +289,9 @@ def _map(runtime, make_body, shared: tuple, items: np.ndarray, phase: str):
     chunks = runtime.partition(items if items.ndim == 1 else items.shape[0])
     if items.ndim == 2:
         chunks = [items[idx] for idx in chunks]
-    with runtime.share(*shared) as handles:
-        return runtime.parallel_for(
-            chunks, make_body(*handles), phase=phase, pure=True
-        )
+    return runtime.parallel_for(
+        chunks, make_body(*shared), phase=phase, pure=True
+    )
 
 
 def _columns(parts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -538,7 +536,7 @@ def to_two_graph(
     ``tracer``/``metrics`` (:mod:`repro.obs`, no-op when ``None``) reach
     every instrumented algorithm; the ``matrix`` oracle is uninstrumented
     and ignores them.  ``backend``/``workers`` select a real execution
-    backend (``'threaded'``/``'process'``) when no ``runtime`` is passed —
+    backend (``'threaded'``) when no ``runtime`` is passed —
     results are bit-identical either way (see docs/PARALLEL.md);
     ``threaded`` accepts only its own backend.
 

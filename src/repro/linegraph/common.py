@@ -40,7 +40,7 @@ def resolve_runtime(runtime, backend=None, workers=None):
 
     Builders accept either an explicit
     :class:`~repro.parallel.runtime.ParallelRuntime` *or* a backend spec
-    (``'simulated'``/``'threaded'``/``'process'``, optionally with a
+    (``'simulated'``/``'threaded'``, optionally with a
     worker count), from which a runtime is constructed on the spot.
     Returns ``(runtime_or_None, owned)``; when ``owned`` the caller must
     ``close()`` the runtime after the build (it holds a live pool).
@@ -99,8 +99,8 @@ def kernel_stats(
 
     Every construction kernel returns one of these (keyed by family
     name) as the final element of its result tuple, so the numbers
-    travel *inside* the task result — the only channel that survives a
-    process boundary — instead of being mutated into shared counters.
+    travel *inside* the task result instead of being mutated into
+    shared counters (which would race under real threads).
     The builders merge them (:func:`merge_kernel_stats`) and emit the
     uniform ``linegraph_kernel_*_total{kernel=...}`` counters
     (:func:`emit_kernel_counters`) once per build.

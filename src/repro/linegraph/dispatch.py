@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.parallel.runtime import TaskResult
-from repro.parallel.shared import open_handles
 
 from .bitset import BitsetOverlapKernel, EligiblePacking, bitset_rows
 from .common import (
@@ -346,19 +345,18 @@ class AdaptiveKernel:
         self.expansion = expansion
 
     def __call__(self, chunk: np.ndarray) -> TaskResult:
-        with open_handles(self.edges, self.nodes) as (edges, nodes):
-            src, dst, cnt, stats, work = adaptive_rows(
-                edges,
-                nodes,
-                chunk,
-                self.s,
-                upper_only=self.upper_only,
-                policy=self.policy,
-                force=self.force,
-                packing=self.packing,
-                expansion=self.expansion,
-            )
-            return TaskResult((src, dst, cnt, stats), work)
+        src, dst, cnt, stats, work = adaptive_rows(
+            self.edges,
+            self.nodes,
+            chunk,
+            self.s,
+            upper_only=self.upper_only,
+            policy=self.policy,
+            force=self.force,
+            packing=self.packing,
+            expansion=self.expansion,
+        )
+        return TaskResult((src, dst, cnt, stats), work)
 
 
 def make_count_kernel(
@@ -377,10 +375,18 @@ def make_count_kernel(
     always use the hashmap body (the only family that accumulates the
     ``Σ w·w`` products), which expects degree-pruned chunks.
     ``expansion`` (per-hyperedge ``Σ deg(v)``, see :func:`bucketize`)
-    reaches the dispatcher only.
+    reaches the dispatcher only.  A
+    :class:`~repro.structures.compressed.CompressedCSR` input is decoded
+    once here, so every task reads plain CSRs.
     """
+    from repro.structures.compressed import CompressedCSR
+
     from .kernels import WeightedHashmapKernel
 
+    edges, nodes = (
+        x.to_csr() if isinstance(x, CompressedCSR) else x
+        for x in (edges, nodes)
+    )
     name = kernel or "auto"
     if name not in KERNEL_NAMES:
         raise ValueError(

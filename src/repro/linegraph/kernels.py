@@ -1,4 +1,4 @@
-"""Picklable construction kernels — the bodies the presets run.
+"""Construction kernels — the bodies the presets run.
 
 The counting bodies of the hashmap and intersection families live in
 :mod:`repro.linegraph.dispatch` (one body per family, selected per
@@ -6,24 +6,15 @@ bucket or forced with ``kernel=``); this module holds the rest: the
 weighted hashmap body, Algorithm 2's pair-gather and pair-intersect
 phases, and the all-pairs naive oracle.
 
-The builders used to close over their incidence CSRs; a closure runs
-fine on the simulated loop and a thread pool but cannot cross a process
-boundary.  These module-level kernel classes hold their inputs as
-instance attributes instead, so one object serves all three execution
-backends:
-
-* under ``simulated``/``threaded`` the attributes are plain CSRs and
-  :func:`repro.parallel.shared.open_handles` passes them through;
-* under ``process`` the builder wraps them via ``runtime.share(...)``
-  first, the kernel pickles to a ~300-byte handle bundle, and each task
-  attaches the shared blocks zero-copy.
+These module-level kernel classes hold their incidence CSRs and
+parameters as instance attributes, so one object serves both execution
+backends and names its inputs in one place.
 
 Every kernel is **pure**: it only reads its inputs and returns freshly
 allocated arrays, which is what lets
 :meth:`~repro.parallel.runtime.ParallelRuntime.parallel_for` route it to
 a real pool with ``pure=True``.  Candidate-pair statistics travel inside
-the returned value — a list mutation would race under real threads and
-be silently lost under processes.
+the returned value — a list mutation would race under real threads.
 """
 
 from __future__ import annotations
@@ -31,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.parallel.runtime import TaskResult
-from repro.parallel.shared import open_handles
 
 from .common import (
     batch_intersect_counts,
@@ -71,19 +61,19 @@ class WeightedHashmapKernel:
         self.s = int(s)
 
     def __call__(self, chunk: np.ndarray) -> TaskResult:
-        with open_handles(self.edges, self.nodes) as (edges, nodes):
-            src, dst, cnt, wgt = two_hop_pair_weighted(edges, nodes, chunk)
-            keep = cnt >= self.s
-            stats = kernel_stats(
-                "hashmap",
-                rows=int(chunk.size),
-                candidates=int(cnt.size),
-                emitted=int(keep.sum()),
-            )
-            return TaskResult(
-                (src[keep], dst[keep], wgt[keep], stats),
-                float(int(cnt.sum()) + chunk.size),
-            )
+        edges, nodes = self.edges, self.nodes
+        src, dst, cnt, wgt = two_hop_pair_weighted(edges, nodes, chunk)
+        keep = cnt >= self.s
+        stats = kernel_stats(
+            "hashmap",
+            rows=int(chunk.size),
+            candidates=int(cnt.size),
+            emitted=int(keep.sum()),
+        )
+        return TaskResult(
+            (src[keep], dst[keep], wgt[keep], stats),
+            float(int(cnt.sum()) + chunk.size),
+        )
 
 
 class PairGatherKernel:
@@ -97,18 +87,18 @@ class PairGatherKernel:
         self.s = int(s)
 
     def __call__(self, chunk: np.ndarray) -> TaskResult:
-        with open_handles(self.edges, self.nodes) as (edges, nodes):
-            src, dst, _, work = two_hop_pair_counts(edges, nodes, chunk)
-            keep = _row_sizes(edges, dst) >= self.s  # candidate-side pruning
-            pairs = np.stack([src[keep], dst[keep]], axis=1)
-            # phase 1 examines candidates; emission happens in phase 2 —
-            # merging both phases' stats reproduces the builder totals
-            stats = kernel_stats(
-                "intersection",
-                rows=int(chunk.size),
-                candidates=int(src.size),
-            )
-            return TaskResult((pairs, stats), float(work + chunk.size))
+        edges, nodes = self.edges, self.nodes
+        src, dst, _, work = two_hop_pair_counts(edges, nodes, chunk)
+        keep = _row_sizes(edges, dst) >= self.s  # candidate-side pruning
+        pairs = np.stack([src[keep], dst[keep]], axis=1)
+        # phase 1 examines candidates; emission happens in phase 2 —
+        # merging both phases' stats reproduces the builder totals
+        stats = kernel_stats(
+            "intersection",
+            rows=int(chunk.size),
+            candidates=int(src.size),
+        )
+        return TaskResult((pairs, stats), float(work + chunk.size))
 
 
 class PairIntersectKernel:
@@ -126,26 +116,26 @@ class PairIntersectKernel:
         self.s = int(s)
 
     def __call__(self, pairs: np.ndarray) -> TaskResult:
-        with open_handles(self.edges) as (edges,):
-            counts = batch_intersect_counts(edges, pairs)
-            work = (
-                int(
-                    np.minimum(
-                        _row_sizes(edges, pairs[:, 0]),
-                        _row_sizes(edges, pairs[:, 1]),
-                    ).sum()
-                )
-                if pairs.size
-                else 0
+        edges = self.edges
+        counts = batch_intersect_counts(edges, pairs)
+        work = (
+            int(
+                np.minimum(
+                    _row_sizes(edges, pairs[:, 0]),
+                    _row_sizes(edges, pairs[:, 1]),
+                ).sum()
             )
-            keep = counts >= self.s
-            stats = kernel_stats(
-                "intersection", emitted=int(keep.sum())
-            )
-            return TaskResult(
-                (pairs[keep, 0], pairs[keep, 1], counts[keep], stats),
-                float(work + pairs.shape[0]),
-            )
+            if pairs.size
+            else 0
+        )
+        keep = counts >= self.s
+        stats = kernel_stats(
+            "intersection", emitted=int(keep.sum())
+        )
+        return TaskResult(
+            (pairs[keep, 0], pairs[keep, 1], counts[keep], stats),
+            float(work + pairs.shape[0]),
+        )
 
 
 class NaivePairsKernel:
@@ -159,34 +149,34 @@ class NaivePairsKernel:
         self.n = int(n)
 
     def __call__(self, block: np.ndarray) -> TaskResult:
-        with open_handles(self.edges) as (edges,):
-            sizes = np.diff(edges.indptr)  # oracle-scale inputs; O(n) is fine
-            src: list[int] = []
-            dst: list[int] = []
-            cnt: list[int] = []
-            examined = 0
-            work = 0
-            for e in block.tolist():
-                if sizes[e] < self.s:
+        edges = self.edges
+        sizes = np.diff(edges.indptr)  # oracle-scale inputs; O(n) is fine
+        src: list[int] = []
+        dst: list[int] = []
+        cnt: list[int] = []
+        examined = 0
+        work = 0
+        for e in block.tolist():
+            if sizes[e] < self.s:
+                continue
+            mem_e = edges[e]
+            for f in range(e + 1, self.n):
+                if sizes[f] < self.s:
                     continue
-                mem_e = edges[e]
-                for f in range(e + 1, self.n):
-                    if sizes[f] < self.s:
-                        continue
-                    examined += 1
-                    work += int(min(sizes[e], sizes[f]))
-                    c = intersect_count_sorted(mem_e, edges[f])
-                    if c >= self.s:
-                        src.append(e)
-                        dst.append(f)
-                        cnt.append(c)
-            stats = kernel_stats(
-                "naive",
-                rows=int(block.size),
-                candidates=examined,
-                emitted=len(src),
-            )
-            return TaskResult(
-                (np.array(src), np.array(dst), np.array(cnt), stats),
-                float(work + block.size),
-            )
+                examined += 1
+                work += int(min(sizes[e], sizes[f]))
+                c = intersect_count_sorted(mem_e, edges[f])
+                if c >= self.s:
+                    src.append(e)
+                    dst.append(f)
+                    cnt.append(c)
+        stats = kernel_stats(
+            "naive",
+            rows=int(block.size),
+            candidates=examined,
+            emitted=len(src),
+        )
+        return TaskResult(
+            (np.array(src), np.array(dst), np.array(cnt), stats),
+            float(work + block.size),
+        )

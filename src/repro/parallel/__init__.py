@@ -7,15 +7,14 @@ See DESIGN.md §2 for why this substitution preserves the paper's
 scaling-behaviour claims on single-core hardware.
 
 Since the backend layer landed, the same runtime can also *execute* pure
-phases on a real thread or process pool (``backend='threaded'`` /
-``'process'``) with zero-copy shared CSR transport — see docs/PARALLEL.md.
+phases on a real thread pool (``backend='threaded'``) — see
+docs/PARALLEL.md.
 """
 
 from .atomics import compare_and_swap, fetch_or, write_max, write_min
 from .backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    ProcessBackend,
     SimulatedBackend,
     ThreadedBackend,
     default_workers,
@@ -26,8 +25,6 @@ from .cost import CostModel, PhaseLedger, RunLedger
 from .partition import blocked_range, cyclic_neighbor_range, cyclic_range
 from .runtime import ParallelRuntime, TaskResult
 from .scheduler import StaticScheduler, WorkStealingScheduler, make_scheduler
-from .shared import SharedArray, SharedCSR, open_handles, shared_stats
-from .shared import debug_verify as shared_debug_verify
 from .trace import chrome_trace_events, export_chrome_trace
 from .workqueue import ThreadLocalQueues, WorkQueue
 
@@ -37,10 +34,7 @@ __all__ = [
     "ExecutionBackend",
     "ParallelRuntime",
     "PhaseLedger",
-    "ProcessBackend",
     "RunLedger",
-    "SharedArray",
-    "SharedCSR",
     "SimulatedBackend",
     "StaticScheduler",
     "ThreadedBackend",
@@ -58,9 +52,6 @@ __all__ = [
     "fetch_or",
     "inline_pool",
     "make_backend",
-    "open_handles",
-    "shared_debug_verify",
-    "shared_stats",
     "make_scheduler",
     "write_max",
     "write_min",

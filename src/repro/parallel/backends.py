@@ -10,13 +10,6 @@ The :class:`~repro.parallel.runtime.ParallelRuntime` models *scheduling*
 * :class:`ThreadedBackend` — a persistent ``ThreadPoolExecutor``.  The
   hot kernels are NumPy-vectorized and release the GIL, so pure bodies
   overlap on real cores (the ``threaded`` s-line preset pins it).
-* :class:`ProcessBackend` — a persistent process pool.  Bodies must be
-  picklable (the builder kernels of :mod:`repro.linegraph.kernels` are);
-  large read-only inputs travel as :mod:`repro.parallel.shared` handles,
-  so workers attach CSR buffers zero-copy instead of unpickling
-  megabyte arrays per task.  Non-picklable bodies (e.g. the service
-  engine's batch closures) transparently degrade to the backend's
-  internal thread pool — counted, never wrong.
 
 Every backend returns results in **submission order**, so the runtime's
 determinism contract (bit-identical values across backends and
@@ -26,15 +19,12 @@ schedules) holds by construction; only wall-clock time differs.
 from __future__ import annotations
 
 import os
-import pickle
 import threading
-from contextlib import contextmanager
 from typing import Any, Callable, Sequence
 
 __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
-    "ProcessBackend",
     "SimulatedBackend",
     "ThreadedBackend",
     "default_workers",
@@ -53,7 +43,6 @@ def _registry() -> dict:
     return {
         "simulated": SimulatedBackend,
         "threaded": ThreadedBackend,
-        "process": ProcessBackend,
     }
 
 
@@ -71,27 +60,21 @@ def default_workers(bound: int = 32) -> int:
 
 
 class ExecutionBackend:
-    """Common surface of the three backends.
+    """Common surface of the backends.
 
     ``concurrent`` tells the runtime whether routing through
     :meth:`map` buys real overlap (False routes bodies through the
     runtime's own serial loop, which also supports shuffled execution
-    and per-task monitor hooks).  ``in_process`` tells it whether a
-    :class:`~repro.check.races.RaceDetector` can observe body accesses
-    (worker *threads* share the checked arrays; worker *processes*
-    cannot).
+    and per-task monitor hooks).
     """
 
     name = "abstract"
     concurrent = False
-    in_process = True
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = (
             default_workers() if workers is None else max(1, int(workers))
         )
-        #: tasks that degraded to the fallback pool (process backend only)
-        self.fallback_tasks = 0
 
     def map(
         self,
@@ -101,17 +84,6 @@ class ExecutionBackend:
     ) -> list[Any]:
         """Run ``body`` over chunks; results in submission order."""
         raise NotImplementedError
-
-    @contextmanager
-    def share(self, *objs):
-        """Prepare large read-only inputs for this backend's workers.
-
-        Default: objects pass through unchanged (same-address-space
-        backends need no transport).  The process backend overrides this
-        to export CSRs/arrays into shared memory for the duration of the
-        ``with`` block.
-        """
-        yield objs
 
     def close(self) -> None:
         """Shut down any pools (idempotent; pools are lazily recreated)."""
@@ -152,7 +124,6 @@ class SimulatedBackend(ExecutionBackend):
 
     name = "simulated"
     concurrent = False
-    in_process = True
 
     def __init__(self, workers: int | None = None) -> None:
         super().__init__(workers=1 if workers is None else workers)
@@ -167,7 +138,6 @@ class ThreadedBackend(ExecutionBackend):
 
     name = "threaded"
     concurrent = True
-    in_process = True
 
     def __init__(self, workers: int | None = None) -> None:
         super().__init__(workers)
@@ -228,154 +198,6 @@ def _forget_inline_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_inline_pool)
-
-
-def _run_remote(payload: bytes) -> Any:
-    """Worker-side task entry: unpickle ``(body, chunk)`` and run it.
-
-    Module-level (not a closure) so the *entry point* itself always
-    pickles; the interesting pickling — kernel + shared handles — is in
-    the payload.
-    """
-    body, chunk = pickle.loads(payload)
-    return body(chunk)
-
-
-class ProcessBackend(ExecutionBackend):
-    """Persistent process pool with zero-copy shared-CSR transport.
-
-    Bodies must be picklable module-level callables (see
-    :mod:`repro.linegraph.kernels`); inputs shared via :meth:`share`
-    cross as ~100-byte handles.  A non-picklable body degrades to an
-    internal :class:`ThreadedBackend` (``fallback_tasks`` counts chunks
-    served that way) so call sites never have to care.
-    """
-
-    name = "process"
-    concurrent = True
-    in_process = False
-
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__(workers)
-        self._pool = None
-        self._fallback: ThreadedBackend | None = None
-
-    def _executor(self):
-        if self._pool is None:
-            import multiprocessing as mp
-            from concurrent.futures import ProcessPoolExecutor
-
-            methods = mp.get_all_start_methods()
-            ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=ctx
-            )
-        return self._pool
-
-    @staticmethod
-    def _picklable(body) -> bool:
-        try:
-            pickle.dumps(body)
-            return True
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # closures/lambdas/bound locals — the fallback pool serves them
-            return False
-
-    @staticmethod
-    def _mapped_handle(obj):
-        """A zero-copy mmap handle when ``obj`` lives in an open store slab.
-
-        Resolved only when :mod:`repro.store.slab` is already imported —
-        a process that never opened a store pays nothing, not even the
-        import.  Mapped handles reference a store-owned file, so they
-        are never released by :meth:`share`.
-        """
-        import sys
-
-        slab = sys.modules.get("repro.store.slab")
-        if slab is None:
-            return None
-        import numpy as np
-
-        if isinstance(obj, np.ndarray):
-            return slab.handle_of(obj)
-        return slab.csr_handle_of(obj)
-
-    @contextmanager
-    def share(self, *objs):
-        """Export CSRs/ndarrays for the block's scope — shm or mmap.
-
-        Arrays backed by an open store slab ship as
-        :class:`~repro.store.slab.MappedArray` handles (no copy at all);
-        everything else is exported into POSIX shared memory (the one
-        copy the scheme ever makes) and released when the block exits.
-        """
-        import numpy as np
-
-        from .shared import SharedArray, SharedCSR, SharedCompressedCSR
-
-        shared = []
-        out = []
-        seen: dict[int, Any] = {}  # same object shared twice -> one block
-        try:
-            for obj in objs:
-                if id(obj) in seen:
-                    out.append(seen[id(obj)])
-                    continue
-                if obj is None:
-                    out.append(None)
-                    continue
-                if isinstance(obj, np.ndarray):
-                    handle = self._mapped_handle(obj) or SharedArray.create(obj)
-                elif hasattr(obj, "offsets") and hasattr(obj, "decode_rows"):
-                    # CompressedCSR: has indptr but no indices column, so
-                    # test before the generic CSR duck-type — the shm
-                    # blocks carry the compressed bytes, workers decode
-                    handle = SharedCompressedCSR.create(obj)
-                elif hasattr(obj, "indptr") and hasattr(obj, "indices"):
-                    handle = self._mapped_handle(obj) or SharedCSR.create(obj)
-                else:  # scalars and small picklables travel by value
-                    out.append(obj)
-                    continue
-                if isinstance(
-                    handle, (SharedArray, SharedCSR, SharedCompressedCSR)
-                ):
-                    shared.append(handle)  # owner must release shm blocks
-                seen[id(obj)] = handle
-                out.append(handle)
-            yield tuple(out)
-        finally:
-            for handle in shared:
-                handle.release()
-
-    def map(self, body, chunks, monitor=None):
-        if not chunks:
-            return []
-        if not self._picklable(body):
-            if self._fallback is None:
-                self._fallback = ThreadedBackend(self.workers)
-            self.fallback_tasks += len(chunks)
-            return self._fallback.map(body, chunks, monitor=monitor)
-        # monitor hooks are meaningless across a process boundary: the
-        # detector's CheckedArrays live in the parent (in_process=False
-        # tells the runtime not to expect task brackets here)
-        payloads = [pickle.dumps((body, chunk)) for chunk in chunks]
-        if len(payloads) == 1:
-            return [_run_remote(payloads[0])]
-        from concurrent.futures import wait
-
-        pool = self._executor()
-        futures = [pool.submit(_run_remote, p) for p in payloads]
-        wait(futures)
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._fallback is not None:
-            self._fallback.close()
-            self._fallback = None
 
 
 def make_backend(

@@ -15,8 +15,8 @@ algorithms built on top use idempotent min/CAS combining
 verify that second property by actually permuting body execution.
 
 Since the backend layer (:mod:`repro.parallel.backends`) landed, the
-runtime also routes *pure* phases through a real thread or process pool
-when constructed with ``backend='threaded'`` / ``backend='process'``.
+runtime also routes *pure* phases through a real thread pool when
+constructed with ``backend='threaded'``.
 The ledger is still computed from the same per-chunk costs, so the
 simulated makespan — the paper-scaling instrument — is bit-identical
 across backends; only wall-clock time changes.  Bodies opt in with
@@ -96,13 +96,13 @@ class ParallelRuntime:
         tracer (near-zero overhead).
     backend:
         Execution backend for pure phases: ``'simulated'`` (default),
-        ``'threaded'``, ``'process'``, or an
+        ``'threaded'``, or an
         :class:`~repro.parallel.backends.ExecutionBackend` instance
         (shared pools can be reused across runtimes — the owner closes
         them).  The ``REPRO_BACKEND`` environment variable overrides the
         default when no explicit backend is passed.
     workers:
-        Real pool size for ``'threaded'``/``'process'`` (defaults to
+        Real pool size for ``'threaded'`` (defaults to
         :func:`~repro.parallel.backends.default_workers`, the CPUs the
         process may use; independent of the *simulated*
         ``num_threads``, which stays the cost-model x-axis).
@@ -199,18 +199,6 @@ class ParallelRuntime:
         return blocked_range(ids, n_chunks)
 
     # -- execution -----------------------------------------------------------------------
-    def share(self, *objs):
-        """Backend-appropriate transport for large read-only inputs.
-
-        ``with runtime.share(edges, nodes) as (e, n): ...`` yields the
-        objects unchanged on in-memory backends and as zero-copy
-        :mod:`repro.parallel.shared` handles on the process backend
-        (released when the block exits).  Kernels reopen them with
-        :func:`repro.parallel.shared.open_handles`, which is a no-op for
-        plain objects — one code path for all three backends.
-        """
-        return self.backend.share(*objs)
-
     def parallel_for(
         self,
         chunks: Sequence[Any],
@@ -224,9 +212,9 @@ class ParallelRuntime:
         order, so callers can zip them with their chunks.
 
         ``pure=True`` declares that ``body`` only reads shared state and
-        returns fresh values, making it safe to run on a real thread or
-        process pool; only then does a ``'threaded'``/``'process'``
-        backend actually execute chunks concurrently.  Impure bodies
+        returns fresh values, making it safe to run on a real thread
+        pool; only then does a ``'threaded'`` backend actually execute
+        chunks concurrently.  Impure bodies
         (anything mutating shared arrays) always use the serial loop.
         """
         mon = self.monitor
@@ -241,10 +229,8 @@ class ParallelRuntime:
             started = time.perf_counter()
             if use_backend:
                 # per-task monitor brackets run on the worker threads via
-                # the backend's wrapper; a process pool can't observe the
-                # parent's CheckedArrays, so no brackets cross that wall
-                task_monitor = mon if self.backend.in_process else None
-                outs = self.backend.map(body, chunks, monitor=task_monitor)
+                # the backend's wrapper
+                outs = self.backend.map(body, chunks, monitor=mon)
             else:
                 order = np.arange(len(chunks))
                 if self.execution_order == "shuffled" and len(chunks) > 1:

@@ -152,9 +152,7 @@ class QueryEngine:
         a deployment flips the whole service without code changes),
         falling back to ``simulated``.  The pool is persistent — shared
         by every batch — and shut down by :meth:`close`.  Engine ops are
-        internally locked, so batch bodies are safe on worker threads;
-        under the ``process`` backend the (unpicklable) dispatch bodies
-        transparently degrade to the backend's thread pool.
+        internally locked, so batch bodies are safe on worker threads.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry`.  Unlike the
         algorithm-level instruments this defaults to a **live** registry
@@ -418,7 +416,6 @@ class QueryEngine:
                 "backend": {
                     "name": self.backend.name,
                     "workers": self.backend.workers,
-                    "fallback_tasks": self.backend.fallback_tasks,
                 },
             }
         )

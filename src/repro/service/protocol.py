@@ -17,8 +17,10 @@ responses.  The engine itself owns per-query semantics and versioning
   queries keep ``"version"``, where ``"v"`` may name a vertex); the
   envelope pin is inherited by every item that does not pin its own;
 * the ``backend`` field is validated against the live
-  :data:`repro.parallel.backends.BACKEND_NAMES` registry rather than a
-  hard-coded tuple, so new backends are automatically legal on the wire.
+  :data:`repro.parallel.backends.BACKEND_NAMES` registry
+  (``simulated``/``threaded``) rather than a hard-coded tuple, and
+  ``workers`` must be a positive integer; anything else is an
+  ``invalid_argument`` response, not an engine call.
 """
 
 from __future__ import annotations
@@ -70,6 +72,15 @@ def dispatch(engine: QueryEngine, payload: object) -> object:
                     f"{sorted(BACKEND_NAMES)}",
                 )
         workers = payload.get("workers")
+        if workers is not None and (
+            not isinstance(workers, int)
+            or isinstance(workers, bool)
+            or workers < 1
+        ):
+            return protocol_error(
+                "invalid_argument",
+                f"workers must be a positive integer, got {workers!r}",
+            )
         queries = payload["batch"]
         if v is not None and isinstance(queries, list):
             # the envelope pin is inherited by every item that does not
@@ -82,7 +93,7 @@ def dispatch(engine: QueryEngine, payload: object) -> object:
         return engine.execute_batch(
             queries,
             backend=backend,
-            workers=None if workers is None else int(workers),
+            workers=workers,
         )
     return engine.execute(payload)
 

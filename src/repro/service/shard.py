@@ -6,9 +6,7 @@ two-hop expansion; the serving layer realizes it by splitting the
 (:func:`repro.structures.relabel.balanced_ranges` over relabel-by-degree
 order, so each shard owns roughly equal incidence mass) and computing
 each shard's slice of the s-line graph independently, over the engine's
-execution backend — under the ``process`` backend the incidence CSRs
-cross as zero-copy :mod:`repro.parallel.shared` handles, exactly like
-the PR 5 builders.
+execution backend.
 
 The key identity making scatter-gather *bit-exact*: each shard runs the
 two-hop counting kernel with ``upper_only=False`` restricted to its own
@@ -54,7 +52,6 @@ from repro.linegraph.common import (
 )
 from repro.linegraph.dispatch import KERNEL_NAMES, adaptive_rows
 from repro.parallel.runtime import ParallelRuntime, TaskResult
-from repro.parallel.shared import open_handles
 from repro.structures.csr import CSR
 from repro.structures.relabel import balanced_ranges
 
@@ -64,7 +61,7 @@ __all__ = ["ShardPairsKernel", "ShardPlan", "ShardedEngine", "plan_shards"]
 
 
 class ShardPairsKernel:
-    """Per-shard counting body (picklable, pure, zero-copy).
+    """Per-shard counting body (pure: reads the incidence CSRs only).
 
     ``chunk`` is one shard's array of row IDs.  Unlike the builders'
     counting bodies (the ``f > e`` triangle) this walks with
@@ -93,16 +90,15 @@ class ShardPairsKernel:
         self.kernel = name
 
     def __call__(self, chunk: np.ndarray) -> TaskResult:
-        with open_handles(self.edges, self.nodes) as (edges, nodes):
-            src, dst, cnt, stats, work = adaptive_rows(
-                edges,
-                nodes,
-                chunk,
-                self.s,
-                upper_only=False,
-                force=None if self.kernel == "auto" else self.kernel,
-            )
-            return TaskResult((src, dst, cnt, stats), work)
+        src, dst, cnt, stats, work = adaptive_rows(
+            self.edges,
+            self.nodes,
+            chunk,
+            self.s,
+            upper_only=False,
+            force=None if self.kernel == "auto" else self.kernel,
+        )
+        return TaskResult((src, dst, cnt, stats), work)
 
 
 @dataclass
@@ -269,11 +265,12 @@ class ShardedEngine(QueryEngine):
         with self.tracer.span(
             "shard.scatter", dataset=key, s=s, shards=plan.num_shards
         ):
-            with rt.share(bi.edges, bi.nodes) as (se, sn):
-                kernel = ShardPairsKernel(se, sn, s, kernel=self.kernel)
-                parts = rt.parallel_for(
-                    plan.parts, kernel, phase="shard_pairs", pure=True
-                )
+            kernel = ShardPairsKernel(
+                bi.edges, bi.nodes, s, kernel=self.kernel
+            )
+            parts = rt.parallel_for(
+                plan.parts, kernel, phase="shard_pairs", pure=True
+            )
         out = []
         for i, (src, dst, cnt, stats) in enumerate(parts):
             self.obs_metrics.counter(
@@ -373,14 +370,15 @@ class ShardedEngine(QueryEngine):
         )
         rt.new_run()
         with self.tracer.span("shard.route", dataset=key, s=s, shard=shard):
-            with rt.share(bi.edges, bi.nodes) as (se, sn):
-                kernel = ShardPairsKernel(se, sn, s, kernel=self.kernel)
-                parts = rt.parallel_for(
-                    [np.array([v], dtype=np.int64)],
-                    kernel,
-                    phase="shard_route",
-                    pure=True,
-                )
+            kernel = ShardPairsKernel(
+                bi.edges, bi.nodes, s, kernel=self.kernel
+            )
+            parts = rt.parallel_for(
+                [np.array([v], dtype=np.int64)],
+                kernel,
+                phase="shard_route",
+                pure=True,
+            )
         self.obs_metrics.counter(
             "service_shard_requests_total", mode="route", shard=str(shard)
         ).inc()

@@ -32,15 +32,7 @@ from .recover import (
     open_store,
     read_store,
 )
-from .slab import (
-    PAGE_SIZE,
-    MappedArray,
-    MappedCSR,
-    SlabFile,
-    SlabWriter,
-    csr_handle_of,
-    handle_of,
-)
+from .slab import PAGE_SIZE, SlabFile, SlabWriter
 from .snapshot import build_store, write_snapshot
 from .wal import WAL_MAGIC, WalTail, WriteAheadLog, read_wal
 
@@ -51,8 +43,6 @@ __all__ = [
     "WAL_MAGIC",
     "DurableDynamicHypergraph",
     "Manifest",
-    "MappedArray",
-    "MappedCSR",
     "RecoveryReport",
     "SlabEntry",
     "SlabFile",
@@ -63,8 +53,6 @@ __all__ = [
     "WalTail",
     "WriteAheadLog",
     "build_store",
-    "csr_handle_of",
-    "handle_of",
     "is_store_dir",
     "load_manifest",
     "open_store",

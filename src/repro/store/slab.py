@@ -10,48 +10,28 @@ exceed RAM.
 
 Page alignment buys two things: every array view is itself mappable at
 its own offset (``mmap`` offsets must be allocation-granularity aligned),
-which is what makes :class:`MappedArray` a picklable ~200-byte handle a
-worker process can open independently; and arrays never share a page, so
-``madvise``-style tuning stays per-array.
-
-:class:`MappedArray`/:class:`MappedCSR` implement the
-:class:`~repro.parallel.shared.BufferHandle`/\
-:class:`~repro.parallel.shared.CSRHandle` interface — the second provider
-next to POSIX shm, letting the process backend ship store-backed graphs
-to workers without copying (:func:`handle_of` recovers the handle for any
-ndarray that is a view into a registered open slab).
+and arrays never share a page, so ``madvise``-style tuning stays
+per-array.
 
 A note on ``close()``: CPython refuses to close an ``mmap`` while
 exported pointers (live ``np.frombuffer`` views) exist, raising
-``BufferError``.  Handles tolerate that and leave reclamation to the
-garbage collector — a read-only file mapping is harmless to keep, unlike
-a POSIX shm block, which is why the shm provider must be strict where
-this one may be lazy.
+``BufferError``.  :meth:`SlabFile.close` tolerates that and leaves
+reclamation to the garbage collector — a read-only file mapping is
+harmless to keep.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-import threading
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from repro.parallel.shared import BufferHandle, CSRHandle
-
 from .manifest import SlabEntry, StoreCorruptError
 
-__all__ = [
-    "PAGE_SIZE",
-    "MappedArray",
-    "MappedCSR",
-    "SlabFile",
-    "SlabWriter",
-    "handle_of",
-    "csr_handle_of",
-]
+__all__ = ["PAGE_SIZE", "SlabFile", "SlabWriter"]
 
 #: slab section alignment; also satisfies mmap.ALLOCATIONGRANULARITY
 PAGE_SIZE = 4096
@@ -59,13 +39,6 @@ PAGE_SIZE = 4096
 
 def _align(offset: int) -> int:
     return (offset + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
-
-
-#: open slab registry: id(SlabFile) -> (path, base_address, length).
-#: lets handle_of() recognize ndarrays backed by a registered mapping so
-#: the process backend can ship them as MappedArray handles.
-_OPEN_SLABS: dict[int, tuple[str, int, int]] = {}
-_OPEN_LOCK = threading.Lock()
 
 
 class SlabWriter:
@@ -122,10 +95,8 @@ class SlabFile:
     """One read-only mapping of a slab file, serving zero-copy views.
 
     ``array(entry)`` returns an ndarray view into the shared mapping —
-    no per-array mmap, no copies.  The instance registers its address
-    range so :func:`handle_of` can hand out :class:`MappedArray` handles
-    for its views.  ``verify()`` checks every checksum (O(bytes), kept
-    off the open path).
+    no per-array mmap, no copies.  ``verify()`` checks every checksum
+    (O(bytes), kept off the open path).
     """
 
     def __init__(
@@ -135,7 +106,6 @@ class SlabFile:
         self.entries = dict(entries)
         size = max((e.offset + e.nbytes for e in entries.values()), default=0)
         self._mm: mmap.mmap | None = None
-        self._base_addr = 0
         if size:
             with open(self.path, "rb") as fh:
                 actual = os.fstat(fh.fileno()).st_size
@@ -147,10 +117,6 @@ class SlabFile:
                 self._mm = mmap.mmap(
                     fh.fileno(), length=size, access=mmap.ACCESS_READ
                 )
-            base = np.frombuffer(self._mm, dtype=np.uint8, count=1)
-            self._base_addr = int(base.__array_interface__["data"][0])
-            with _OPEN_LOCK:
-                _OPEN_SLABS[id(self)] = (str(self.path), self._base_addr, size)
 
     def array(self, name: str) -> np.ndarray:
         """Zero-copy read-only view of one recorded array."""
@@ -186,14 +152,12 @@ class SlabFile:
         return 0 if self._mm is None else len(self._mm)
 
     def close(self) -> None:
-        """Drop the registry entry and close the mapping if possible.
+        """Close the mapping if possible.
 
         With live views the underlying ``mmap`` close raises
         ``BufferError``; the mapping then lives until the last view is
         garbage collected (see module docstring).
         """
-        with _OPEN_LOCK:
-            _OPEN_SLABS.pop(id(self), None)
         if self._mm is not None:
             try:
                 self._mm.close()
@@ -206,127 +170,3 @@ class SlabFile:
             f"SlabFile({str(self.path)!r}, arrays={len(self.entries)}, "
             f"nbytes={self.nbytes()})"
         )
-
-
-class MappedArray(BufferHandle):
-    """A picklable handle to one array inside a slab file.
-
-    The mmap twin of :class:`~repro.parallel.shared.SharedArray`: what
-    travels is ``(path, offset, shape, dtype)``; :meth:`open` maps the
-    containing page range read-only and returns the view.  ``release``
-    is just ``close`` — the slab file is owned by the store, never by a
-    handle.
-    """
-
-    __slots__ = ("path", "offset", "shape", "dtype", "_mm")
-
-    def __init__(
-        self, path: str, offset: int, shape: tuple[int, ...], dtype: str
-    ) -> None:
-        self.path = str(path)
-        self.offset = int(offset)
-        self.shape = tuple(int(d) for d in shape)
-        self.dtype = str(dtype)
-        self._mm: mmap.mmap | None = None
-
-    # -- pickling: the handle travels, the mapping does not -------------------
-    def __getstate__(self) -> tuple:
-        return (self.path, self.offset, self.shape, self.dtype)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.path, self.offset, self.shape, self.dtype = state
-        self._mm = None
-
-    # -- attachment -----------------------------------------------------------
-    def open(self) -> np.ndarray:
-        if self.nbytes == 0:
-            return np.empty(self.shape, dtype=np.dtype(self.dtype))
-        gran = mmap.ALLOCATIONGRANULARITY
-        map_start = self.offset - (self.offset % gran)
-        delta = self.offset - map_start
-        if self._mm is None:
-            with open(self.path, "rb") as fh:
-                self._mm = mmap.mmap(
-                    fh.fileno(),
-                    length=delta + self.nbytes,
-                    offset=map_start,
-                    access=mmap.ACCESS_READ,
-                )
-        arr = np.frombuffer(
-            self._mm,
-            dtype=np.dtype(self.dtype),
-            count=int(np.prod(self.shape, dtype=np.int64)),
-            offset=delta,
-        )
-        return arr.reshape(self.shape)
-
-    def close(self) -> None:
-        if self._mm is not None:
-            try:
-                self._mm.close()
-            except BufferError:
-                pass  # live views; reclaimed when they are collected
-            self._mm = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MappedArray({self.path!r}, offset={self.offset}, "
-            f"shape={self.shape}, dtype={self.dtype})"
-        )
-
-
-class MappedCSR(CSRHandle):
-    """A CSR whose buffers are :class:`MappedArray` handles.
-
-    Pickles to a few hundred bytes; workers rebuild the CSR as read-only
-    views over their own mapping of the store's slab file.  No owner
-    teardown — the store owns the file.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MappedCSR(path={self.indptr.path!r}, "
-            f"nbytes={self.nbytes})"
-        )
-
-
-def handle_of(array: np.ndarray) -> MappedArray | None:
-    """The :class:`MappedArray` for a view into a registered open slab.
-
-    Returns ``None`` when ``array`` is not backed by any open
-    :class:`SlabFile` mapping (or is non-contiguous) — callers fall back
-    to the shm provider.
-    """
-    if not isinstance(array, np.ndarray) or not array.flags.c_contiguous:
-        return None
-    if array.size == 0:
-        return None
-    addr = int(array.__array_interface__["data"][0])
-    with _OPEN_LOCK:
-        slabs = list(_OPEN_SLABS.values())
-    for path, base, length in slabs:
-        if base <= addr and addr + array.nbytes <= base + length:
-            return MappedArray(path, addr - base, array.shape, array.dtype.str)
-    return None
-
-
-def csr_handle_of(csr: object) -> MappedCSR | None:
-    """The :class:`MappedCSR` for a CSR whose buffers all live in slabs.
-
-    Mixed CSRs (some buffers mapped, some heap-allocated) return ``None``
-    — partial zero-copy would complicate ownership for no real win.
-    """
-    indptr = handle_of(csr.indptr)
-    indices = handle_of(csr.indices)
-    if indptr is None or indices is None:
-        return None
-    weights: MappedArray | None = None
-    if csr.weights is not None:
-        weights = handle_of(csr.weights)
-        if weights is None:
-            return None
-    return MappedCSR(
-        indptr, indices, weights, csr.num_targets(), csr.has_sorted_rows
-    )

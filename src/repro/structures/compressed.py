@@ -6,7 +6,7 @@ absolute, every following index as its difference from the predecessor,
 and each value is LEB128 varint-encoded (7 payload bits per byte, high
 bit = continuation).  Real incidence rows have small gaps, so most
 encoded values are one byte — an ~8x shrink of the ``indices`` column —
-which is the "bigger graphs fit in cache and in the shm/mmap transport"
+which is the "bigger graphs fit in cache and in the mmap store"
 lever of the compressed-hypergraph line of work ("Compressing
 Hypergraphs using Suffix Sorting", PAPERS.md; we use the simpler
 delta+varint member of that family).
@@ -211,8 +211,7 @@ class CompressedCSR:
         """Adopt already-validated buffers without copies or checks.
 
         The trusted O(1) path, mirroring :meth:`CSR.adopt` — used when
-        the buffers come from a checksummed store slab or a shared
-        handle this library exported.
+        the buffers come from a checksummed store slab.
         """
         out = cls.__new__(cls)
         out.indptr = indptr

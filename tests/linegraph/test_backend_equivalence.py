@@ -3,8 +3,8 @@
 The determinism contract (docs/PARALLEL.md) says backend choice changes
 wall-clock time and nothing else: s-line graphs, CC labels, and the
 simulated cost ledger must be identical whether chunk bodies run on the
-serial simulated loop, a thread pool, or a process pool.  Hypothesis
-drives random hypergraphs through all three.
+serial simulated loop or a thread pool.  Hypothesis drives random
+hypergraphs through both.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.hypercc import hypercc
 from repro.linegraph import to_two_graph
-from repro.parallel import ProcessBackend, SimulatedBackend, ThreadedBackend
+from repro.parallel import SimulatedBackend, ThreadedBackend
 from repro.parallel.runtime import ParallelRuntime
 from repro.structures.biadjacency import BiAdjacency
 from repro.structures.edgelist import BiEdgeList
@@ -26,7 +26,6 @@ def pools():
     backends = {
         "simulated": SimulatedBackend(),
         "threaded": ThreadedBackend(2),
-        "process": ProcessBackend(2),
     }
     yield backends
     for be in backends.values():
@@ -66,15 +65,14 @@ def test_slinegraph_and_cc_bit_identical(pools, el, s):
             edge_labels[name] = elabels
             node_labels[name] = nlabels
             makespans[name] = rt.makespan
-    for name in ("threaded", "process"):
-        assert graphs[name] == graphs["simulated"], name
-        np.testing.assert_array_equal(
-            edge_labels[name], edge_labels["simulated"]
-        )
-        np.testing.assert_array_equal(
-            node_labels[name], node_labels["simulated"]
-        )
-        assert makespans[name] == makespans["simulated"], name
+    assert graphs["threaded"] == graphs["simulated"]
+    np.testing.assert_array_equal(
+        edge_labels["threaded"], edge_labels["simulated"]
+    )
+    np.testing.assert_array_equal(
+        node_labels["threaded"], node_labels["simulated"]
+    )
+    assert makespans["threaded"] == makespans["simulated"]
 
 
 @settings(max_examples=15, deadline=None)
@@ -97,7 +95,6 @@ def test_forced_kernels_bit_identical_across_backends(pools, el, s, kernel):
             makespans[name] = rt.makespan
         assert got == base, (kernel, name)
     assert makespans["threaded"] == makespans["simulated"]
-    assert makespans["process"] == makespans["simulated"]
 
 
 @settings(max_examples=10, deadline=None)
@@ -105,9 +102,8 @@ def test_forced_kernels_bit_identical_across_backends(pools, el, s, kernel):
 def test_compressed_csr_transport_bit_identical(pools, el, s):
     """Kernels fed CompressedCSR inputs decode to the exact same graph.
 
-    The compressed column crosses each backend differently (inline
-    decode on simulated/threaded, shm bytes + worker-side decode on
-    process); the results must not care.
+    Each task decodes the rows it needs from the compressed column, on
+    the serial loop or a pool thread; the results must not care.
     """
     from repro.linegraph.common import finalize_edges
     from repro.linegraph.dispatch import make_count_kernel
@@ -122,11 +118,8 @@ def test_compressed_csr_transport_bit_identical(pools, el, s):
             num_threads=4, partitioner="cyclic", grain=2, backend=be
         ) as rt:
             rt.new_run()
-            with rt.share(ce, cn) as (se, sn):
-                body = make_count_kernel("hashmap", se, sn, s)
-                parts = rt.parallel_for(
-                    rt.partition(eligible), body, pure=True
-                )
+            body = make_count_kernel("hashmap", ce, cn, s)
+            parts = rt.parallel_for(rt.partition(eligible), body, pure=True)
         if parts:
             src = np.concatenate([p[0] for p in parts])
             dst = np.concatenate([p[1] for p in parts])

@@ -36,7 +36,7 @@ def test_queue_ids_at_the_range_ends_accepted(h, algorithm):
     assert set(zip(got.src.tolist(), got.dst.tolist())) <= pairs
 
 
-@pytest.mark.parametrize("backend", ["simulated", "process"])
+@pytest.mark.parametrize("backend", ["simulated"])
 def test_threaded_rejects_other_backends(h, backend):
     with pytest.raises(ValueError, match="threaded"):
         to_two_graph(h, 2, "threaded", backend=backend, workers=2)

@@ -32,7 +32,7 @@ def test_agrees_with_matrix_oracle(name, s):
 
 
 @pytest.mark.parametrize("name", NAMES)
-@pytest.mark.parametrize("backend", ["threaded", "process"])
+@pytest.mark.parametrize("backend", ["threaded"])
 def test_backends_produce_identical_edgelists(name, backend):
     """Real execution backends return the exact EdgeList of the default."""
     h = BiAdjacency.from_biedgelist(random_biedgelist(seed=3))

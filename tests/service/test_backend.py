@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.service import InProcessSession, QueryEngine
+from repro.service.protocol import dispatch_line
 
 from ..conftest import PAPER_MEMBERS, make_biedgelist
 
@@ -62,13 +63,12 @@ class TestEngineBackend:
         base_eng = make_engine()
         base = strip_ms(base_eng.execute_batch(QUERIES))
         base_eng.close()
-        for backend in ("threaded", "process"):
-            eng = make_engine(backend=backend, workers=2)
-            try:
-                got = strip_ms(eng.execute_batch(QUERIES))
-            finally:
-                eng.close()
-            assert got == base, backend
+        eng = make_engine(backend="threaded", workers=2)
+        try:
+            got = strip_ms(eng.execute_batch(QUERIES))
+        finally:
+            eng.close()
+        assert got == base
 
     def test_per_batch_override(self):
         eng = make_engine()  # engine default: simulated
@@ -87,7 +87,6 @@ class TestEngineBackend:
             info = eng.metrics()["backend"]
             assert info["name"] == "threaded"
             assert info["workers"] == 2
-            assert info["fallback_tasks"] == 0
         finally:
             eng.close()
 
@@ -101,7 +100,25 @@ class TestWireEnvelope:
 
     def test_unknown_backend_rejected(self):
         with InProcessSession(make_engine()) as session:
-            resp = session.request({"batch": QUERIES, "backend": "gpu"})
+            for backend in ("gpu", "process"):
+                resp = session.request({"batch": QUERIES, "backend": backend})
+                assert not resp["ok"]
+                assert resp["error"]["code"] == "invalid_argument"
+                assert backend in resp["error"]["message"]
+            session.engine.close()
+
+    @pytest.mark.parametrize(
+        "workers",
+        ["abc", [1], -3, 0, True, 2.5],
+        ids=["str", "list", "negative", "zero", "bool", "float"],
+    )
+    def test_workers_not_a_positive_int_rejected(self, workers):
+        engine = make_engine()
+        try:
+            line = json.dumps({"batch": QUERIES, "workers": workers})
+            resp = json.loads(dispatch_line(engine, line.encode()))
             assert not resp["ok"]
             assert resp["error"]["code"] == "invalid_argument"
-            session.engine.close()
+            assert "workers" in resp["error"]["message"]
+        finally:
+            engine.close()

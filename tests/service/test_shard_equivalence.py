@@ -158,9 +158,9 @@ def test_fast_paths_and_cached_paths_agree(el, s):
         sharded.close()
 
 
-@pytest.mark.parametrize("backend", ["threaded", "process"])
+@pytest.mark.parametrize("backend", ["threaded"])
 def test_sharded_over_real_backends(backend):
-    """Scatter-gather over the PR 5 zero-copy backends stays exact."""
+    """Scatter-gather over a real thread pool stays exact."""
     rng = np.random.default_rng(7)
     members = [
         sorted(set(rng.integers(0, 25, size=rng.integers(2, 6)).tolist()))

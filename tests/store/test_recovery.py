@@ -200,12 +200,11 @@ def test_any_truncation_recovers_committed_prefix(
     assert slab_a == slab_b
 
 
-def test_failed_open_releases_slab_and_wal(tmp_path):
+def test_failed_open_releases_slab_and_wal(tmp_path, open_slabs):
     """A WAL gap aborts open_store without leaking the mmap or the WAL
     append handle (regression: both used to stay open until GC)."""
     from repro.dynamic.log import Mutation
     from repro.store import StoreCorruptError
-    from repro.store.slab import _OPEN_SLABS
     from repro.store.wal import WriteAheadLog
 
     _build(tmp_path)
@@ -214,10 +213,9 @@ def test_failed_open_releases_slab_and_wal(tmp_path):
     wal.append(5, [Mutation.from_dict(m) for m in _burst(0)])
     wal.close()
 
-    before = set(_OPEN_SLABS)
     with pytest.raises(StoreCorruptError, match="WAL gap"):
         open_store(tmp_path)
-    assert set(_OPEN_SLABS) == before  # the mmap was released
+    assert open_slabs() == []  # the mmap was released
 
     # the failed open truncated nothing and closed its WAL handle: once
     # the gap is cleared the store opens normally

@@ -27,7 +27,6 @@ from repro.dynamic import DynamicHypergraph, decide_patch_or_rebuild
 from repro.dynamic.incremental import patch_linegraph
 from repro.obs.metrics import MetricsRegistry
 from repro.store import open_store, write_snapshot
-from repro.store.slab import _OPEN_SLABS
 from repro.store.wal import WriteAheadLog
 from tests.conftest import random_biedgelist
 
@@ -250,7 +249,7 @@ def test_weightless_hot_spec_is_omitted_not_raised(tmp_path):
         h2.close()
 
 
-def test_torn_tail_rolls_forward_to_the_committed_prefix(tmp_path):
+def test_torn_tail_rolls_forward_to_the_committed_prefix(tmp_path, open_slabs):
     hg = _hypergraph(3)
     _make_store(tmp_path, hg, _hot(hg, 2))
     wal_path = tmp_path / "wal.log"
@@ -266,7 +265,6 @@ def test_torn_tail_rolls_forward_to_the_committed_prefix(tmp_path):
     raw = wal_path.read_bytes()
     assert len(raw) > prefix + 2
 
-    before = set(_OPEN_SLABS)
     for cut in sorted({prefix + 1, (prefix + len(raw)) // 2, len(raw) - 1}):
         wal_path.write_bytes(raw[:cut])
         h2 = open_store(tmp_path)
@@ -283,6 +281,6 @@ def test_torn_tail_rolls_forward_to_the_committed_prefix(tmp_path):
         finally:
             h2.close()
         assert h2.dynamic._wal._fh.closed
-        assert set(_OPEN_SLABS) == before
+        assert open_slabs() == []
         # the torn record was truncated away on open
         assert wal_path.stat().st_size == prefix

@@ -1,13 +1,9 @@
-"""Slab writer/reader: alignment, checksums, mmap handles, pickling."""
-
-import pickle
+"""Slab writer/reader: alignment, checksums, truncation."""
 
 import numpy as np
 import pytest
 
-from repro.store import PAGE_SIZE, MappedArray, SlabFile, SlabWriter
-from repro.store.slab import csr_handle_of, handle_of
-from repro.structures.csr import CSR
+from repro.store import PAGE_SIZE, SlabFile, SlabWriter
 
 
 def _write(tmp_path, arrays):
@@ -62,78 +58,3 @@ def test_truncated_slab_is_corrupt(tmp_path):
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(StoreCorruptError):
         SlabFile(path, entries)
-
-
-def test_handle_of_registered_views(tmp_path):
-    path, entries = _write(
-        tmp_path,
-        {
-            "x": np.arange(32, dtype=np.int64),
-            "y": np.arange(5, dtype=np.float64),
-        },
-    )
-    slab = SlabFile(path, entries)
-    try:
-        x = slab.array("x")
-        handle = handle_of(x)
-        assert isinstance(handle, MappedArray)
-        # the handle reopens the same bytes through its own mapping
-        reopened = handle.open()
-        assert np.array_equal(reopened, x)
-        handle.close()
-        # a sliced view inside the mapping still resolves
-        assert handle_of(x[4:20]) is not None
-        # plain heap arrays don't
-        assert handle_of(np.arange(32, dtype=np.int64)) is None
-    finally:
-        slab.close()
-    # after close the registry forgets the range
-    assert handle_of(np.arange(3)) is None
-
-
-def test_mapped_array_pickles(tmp_path):
-    path, entries = _write(tmp_path, {"x": np.arange(1000, dtype=np.int64)})
-    slab = SlabFile(path, entries)
-    try:
-        handle = handle_of(slab.array("x"))
-        clone = pickle.loads(pickle.dumps(handle))
-        arr = clone.open()
-        assert np.array_equal(arr, np.arange(1000))
-        assert not arr.flags.writeable
-        clone.close()
-    finally:
-        slab.close()
-
-
-def test_csr_handle_round_trip(tmp_path):
-    csr = CSR.from_coo(
-        [0, 0, 1, 2],
-        [1, 2, 0, 2],
-        weights=np.array([1.0, 2.0, 3.0, 4.0]),
-        num_sources=3,
-    )
-    path, entries = _write(
-        tmp_path, {"p": csr.indptr, "i": csr.indices, "w": csr.weights}
-    )
-    slab = SlabFile(path, entries)
-    try:
-        mapped = CSR.adopt(
-            slab.array("p"),
-            slab.array("i"),
-            slab.array("w"),
-            num_targets=csr.num_targets(),
-        )
-        handle = csr_handle_of(mapped)
-        assert handle is not None
-        clone = pickle.loads(pickle.dumps(handle))
-        reopened = clone.open()
-        assert np.array_equal(reopened.indptr, csr.indptr)
-        assert np.array_equal(reopened.indices, csr.indices)
-        assert np.array_equal(reopened.weights, csr.weights)
-        assert reopened.num_targets() == csr.num_targets()
-        clone.release()
-        # a CSR with any heap-resident buffer is not fully mapped
-        heap = CSR.from_coo([0], [0], num_sources=1)
-        assert csr_handle_of(heap) is None
-    finally:
-        slab.close()

@@ -319,6 +319,23 @@ class TestServeAndQuery:
         assert exc.value.code == 2
         assert "invalid choice: 'threaded'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--figure", "9"],
+            ["serve"],
+            ["query", "--connect", "127.0.0.1:1", "--batch"],
+        ],
+        ids=["bench", "serve", "query"],
+    )
+    def test_backend_process_is_an_argparse_error(self, capsys, argv):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--backend", "process"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
     def test_serve_runs_the_async_door(self, mtx):
         """`repro serve` with no --frontend: banner, a query, clean ^C."""
         import os
